@@ -437,13 +437,15 @@ var errDegenerate = errors.New("core: internal model degenerate after quantizati
 //
 // The child granule is snapped to a power-of-two multiple of 512 pages
 // (2 MB) nearest span/n. Two properties follow: the slope 1/granule and
-// the intercept −lo/granule are exactly representable in Q44.20 (so the
-// quantized model's boundaries are exact), and no boundary can fall inside
-// a huge page — with 2 MB-aligned regions (the ASLR normalizer guarantees
-// this), a child never splits a translation granule, which keeps interior
-// huge-page lookups routed to the right leaf.
+// the intercept −origin/granule are exactly representable in Q44.20 (so
+// the quantized model's boundaries are exact), and no boundary can fall
+// inside a huge page: boundaries are granule multiples from origin, lo
+// rounded down to 2 MB, so a child never splits a translation granule even
+// when the lowest key is not aligned (a region whose first pages are
+// unmapped). That keeps interior huge-page lookups routed to the right leaf.
 func (b *builder) makeInternal(ms []Mapping, lo, hi uint64, n int, depth int) (*node, error) {
-	span := hi - lo + 1
+	origin := uint64(addr.AlignDown(addr.VPN(lo), addr.Page2M))
+	span := hi - origin + 1
 	granule := uint64(512)
 	for granule*2 <= span/uint64(n) && granule < 1<<fixed.FracBits {
 		granule *= 2
@@ -457,7 +459,7 @@ func (b *builder) makeInternal(ms []Mapping, lo, hi uint64, n int, depth int) (*
 		return nil, errDegenerate
 	}
 	n = nEff
-	l := model.Linear{Slope: 1 / float64(granule), Intercept: -float64(lo) / float64(granule)}
+	l := model.Linear{Slope: 1 / float64(granule), Intercept: -float64(origin) / float64(granule)}
 	slope, intercept := l.Quantize()
 	if slope <= 0 {
 		return nil, errDegenerate

@@ -44,7 +44,16 @@ type node struct {
 	leaf  bool
 	table *gapped.Table
 	// maxDisp is the largest displacement (in slots) between a key's
-	// predicted and actual slot observed so far, for diagnostics.
+	// predicted and actual slot. Every placement site raises it, so it
+	// bounds every entry the table holds — the leaf's displacement
+	// invariant:
+	//
+	//	every live slot s holding tag T has |s − clamp(predict(T))| ≤ maxDisp
+	//
+	// (clamp bounds a prediction into the table, as lookups do). The exact
+	// search (Index.find) relies on it: sweeping the clusters within
+	// maxDisp of a tag's clamped prediction decides presence. Wrapped and
+	// far placements only widen the bound.
 	maxDisp int
 	// residual is the scaled worst-case regression residual, in slots,
 	// observed at training time (the §4.3.3 error bound).
@@ -104,8 +113,9 @@ type IndexStats struct {
 	// LazyTrains counts deferred first-training of empty leaves (not
 	// retrains: no previously trained model existed).
 	LazyTrains uint64
-	// SearchOverflows counts walks that exceeded the C_err bound and
-	// needed the extended software-assisted search (should be ~0).
+	// SearchOverflows counts walks that found their entry only in the
+	// displacement-bounded miss path, beyond the C_err bound (should be
+	// ~0).
 	SearchOverflows uint64
 	// PeakIndexBytes tracks the largest index size seen, including during
 	// initial training (Table 2 discussion).

@@ -61,24 +61,10 @@ func (ix *Index) insertWithin(m Mapping) error {
 	pred := int(leaf.predict(m.VPN))
 	// Remap of an already-present key: update in place so the table never
 	// holds two entries for one VPN (a later rebuild could otherwise
-	// resurrect the stale one). This existence check must be sound, so its
-	// window is an access budget covering the leaf's largest observed
-	// displacement in BOTH search directions (the outward search spends two
-	// fetches per cluster of distance), with a floor that keeps Lookup's
-	// directional pruning — a hardware fast-path heuristic that can skip
-	// the matching cluster — disabled for this software-side check. An
-	// unsorted table voids displacement bounds entirely: cover it whole.
-	window := 2*(leaf.maxDisp/pte.ClusterSlots+1) + ix.params.CErr + 1
-	if leaf.table.Unsorted() {
-		if cover := leaf.table.Slots()/pte.ClusterSlots + 1; cover > window {
-			window = cover
-		}
-	}
-	if window < 9 {
-		window = 9
-	}
-	if lr := leaf.table.Lookup(pred, m.VPN, window); lr.Found {
-		leaf.table.Set(lr.Slot, pte.Tagged{Tag: leaf.table.Get(lr.Slot).Tag, Entry: m.Entry})
+	// resurrect the stale one). The check must be sound, so it is the exact
+	// displacement-bounded search.
+	if slot, _, found := ix.find(leaf, m.VPN, false); found {
+		leaf.table.Set(slot, pte.Tagged{Tag: leaf.table.Get(slot).Tag, Entry: m.Entry})
 		return nil
 	}
 	slot, collided, err := leaf.table.Insert(pred, m.VPN, m.Entry, ix.params.InsertReach)
@@ -273,8 +259,8 @@ func (ix *Index) retrainLeaf(leaf *node, extras []Mapping) error {
 	fresh, err := b.makeLeaf(ms, lo, hi, false)
 	if err != nil {
 		// The leaf's key space no longer fits one model within the bound;
-		// fall back to relaxed (monotone, perfectly sorted) placement —
-		// lookups resolve through the binary miss path.
+		// fall back to relaxed (monotone) placement — its recorded
+		// displacement bounds the miss path's window.
 		if fresh, err = b.makeLeaf(ms, lo, hi, true); err != nil {
 			return err
 		}
@@ -327,12 +313,11 @@ func (ix *Index) Free(v addr.VPN) bool {
 	if leaf == nil || leaf.table == nil {
 		return false
 	}
-	pred := int(leaf.predict(v))
-	reach := leaf.table.Slots()
-	if !leaf.table.Erase(pred, v, reach) {
-		return false
+	slot, _, found := ix.find(leaf, v, false)
+	if found {
+		leaf.table.Set(slot, pte.Tagged{})
 	}
-	return true
+	return found
 }
 
 // availOrder returns the contiguity limit for new table allocations.

@@ -13,6 +13,16 @@ import (
 // Property tests of the learned index's core invariants, driven by random
 // address-space shapes (testing/quick).
 
+// holds reports whether ix satisfies its invariants after a mutation,
+// logging the violation for the failing quick.Check case.
+func holds(t *testing.T, ix *Index) bool {
+	if err := ix.checkInvariants(); err != nil {
+		t.Log(err)
+		return false
+	}
+	return true
+}
+
 // genLayout turns raw fuzz bytes into a multi-segment address space.
 func genLayout(raw []byte) []Mapping {
 	if len(raw) == 0 {
@@ -34,13 +44,6 @@ func genLayout(raw []byte) []Mapping {
 	return ms
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func TestQuickBuildFindsEveryKey(t *testing.T) {
 	f := func(raw []byte) bool {
 		ms := genLayout(raw)
@@ -49,7 +52,7 @@ func TestQuickBuildFindsEveryKey(t *testing.T) {
 		}
 		mem := phys.New(64 << 20)
 		ix, err := Build(mem, ms, DefaultParams())
-		if err != nil {
+		if err != nil || !holds(t, ix) {
 			return false
 		}
 		for _, m := range ms {
@@ -74,7 +77,7 @@ func TestQuickDepthAndSizeBounded(t *testing.T) {
 		}
 		mem := phys.New(64 << 20)
 		ix, err := Build(mem, ms, p)
-		if err != nil {
+		if err != nil || !holds(t, ix) {
 			return false
 		}
 		// d_limit bounds depth; index bytes stay far below the PTE space.
@@ -96,7 +99,7 @@ func TestQuickInsertThenFindAll(t *testing.T) {
 		}
 		mem := phys.New(64 << 20)
 		ix, err := Build(mem, ms, DefaultParams())
-		if err != nil {
+		if err != nil || !holds(t, ix) {
 			return false
 		}
 		lo, hi := ix.KeyRange()
@@ -108,7 +111,7 @@ func TestQuickInsertThenFindAll(t *testing.T) {
 		for i, e := range extra {
 			v := lo + addr.VPN(uint64(e)%span)
 			ent := pte.New(addr.PPN(0x100000+i), addr.Page4K)
-			if err := ix.Insert(Mapping{VPN: v, Entry: ent}); err != nil {
+			if err := ix.Insert(Mapping{VPN: v, Entry: ent}); err != nil || !holds(t, ix) {
 				return false
 			}
 			inserted[v] = ent
@@ -143,7 +146,7 @@ func TestQuickFreeIsExact(t *testing.T) {
 		}
 		mem := phys.New(64 << 20)
 		ix, err := Build(mem, ms, DefaultParams())
-		if err != nil {
+		if err != nil || !holds(t, ix) {
 			return false
 		}
 		freed := map[addr.VPN]bool{}
@@ -152,7 +155,7 @@ func TestQuickFreeIsExact(t *testing.T) {
 			if freed[v] {
 				continue
 			}
-			if !ix.Free(v) {
+			if !ix.Free(v) || !holds(t, ix) {
 				return false
 			}
 			freed[v] = true
@@ -186,7 +189,7 @@ func TestQuickWalkAccessesBounded(t *testing.T) {
 		}
 		mem := phys.New(64 << 20)
 		ix, err := Build(mem, ms, p)
-		if err != nil {
+		if err != nil || !holds(t, ix) {
 			return false
 		}
 		for _, m := range ms {
@@ -235,6 +238,7 @@ func TestRandomizedMixedPageSizes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		mustHold(t, ix, "after build")
 		for base, m := range expected {
 			// Probe the base and, for huge pages, random interiors.
 			probes := []addr.VPN{base}

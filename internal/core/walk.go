@@ -44,8 +44,13 @@ type WalkResult struct {
 //  2. the predicted cluster for the 2 MB-aligned VPN — interior sub-pages
 //     of a huge page predict between keys, but the huge page's own
 //     prediction is exact (the round-down of §4.4);
-//  3. the C_err-bounded outward searches (§4.3.3) for both;
-//  4. the wide software-assisted search (counted as an overflow).
+//  3. the C_err-bounded outward search (§4.3.3) for the VPN;
+//  4. the same for the 2 MB-aligned VPN.
+//
+// A walk that all four stages miss ends in the §4.3.3 miss path: the exact
+// search of the clusters within the leaf's recorded displacement bound
+// (Index.find). A hit there is counted as an overflow; a miss costs the
+// window's clusters, which is what a faulting walk is charged.
 //
 // Internal-node granules are whole 2 MB multiples, so a huge page's
 // interior always routes to the same leaf as its base.
@@ -142,27 +147,15 @@ func (ix *Index) walkInto(res *WalkResult, v addr.VPN, retry1G bool) {
 			return
 		}
 	}
-	// Bounded binary search over the approximately sorted table — the
-	// §4.3.3 miss path. Counted as an overflow of the fast path.
-	lr := n.table.LookupBinary(int(n.predict(v)), v)
-	res.PTEAccesses += lr.Accesses
-	for _, c := range lr.Clusters {
-		ix.walkPTEPAs = append(ix.walkPTEPAs, n.table.ClusterPA(c))
-	}
-	if !lr.Found {
-		// The binary navigation is a heuristic over approximately sorted
-		// content (long empty-cluster runs can mislead it); the exhaustive
-		// software search is the correctness backstop (counted).
-		lr = n.table.Lookup(int(n.predict(v)), v, n.table.Slots()/pte.ClusterSlots+1)
-		res.PTEAccesses += lr.Accesses
-		for _, c := range lr.Clusters {
-			ix.walkPTEPAs = append(ix.walkPTEPAs, n.table.ClusterPA(c))
-		}
-	}
-	if lr.Found {
+	// The §4.3.3 miss path: the exact search over the leaf's displacement
+	// window, every fetched cluster charged. A hit here is an overflow of
+	// the C_err-bounded fast path.
+	slot, fetched, found := ix.find(n, v, true)
+	res.PTEAccesses += fetched
+	if found {
 		ix.stats.SearchOverflows++
 		res.Found = true
-		res.Entry = lr.Entry
+		res.Entry = n.table.Get(slot).Entry
 		res.Collided = true
 		res.Overflowed = true
 		return
@@ -181,6 +174,51 @@ func (ix *Index) walkInto(res *WalkResult, v addr.VPN, retry1G bool) {
 			res.Collided = true
 		}
 	}
+}
+
+// find is the exact search for the entry translating v in leaf n: a 4 KB
+// entry tagged v, or a huge entry tagged with v's 2 MB base. By the leaf's
+// displacement invariant (node.maxDisp) such an entry lies within maxDisp
+// slots of its tag's clamped prediction, so the search sweeps, without
+// pruning, only the clusters covering [p − maxDisp, p + maxDisp] for
+// p = predict(v) and p = predict(AlignDown(v, 2 MB)); overlapping windows
+// are swept once. It returns the matching slot and the number of clusters
+// fetched. With charge set, each fetched cluster's address is appended to
+// the walk trace (Walk's miss path); software callers pass false.
+func (ix *Index) find(n *node, v addr.VPN, charge bool) (slot, fetched int, found bool) {
+	lo, hi := n.window(v)
+	lo2, hi2 := lo, hi
+	if base := addr.AlignDown(v, addr.Page2M); base != v {
+		lo2, hi2 = n.window(base)
+	}
+	if lo2 <= hi+1 && lo <= hi2+1 {
+		// The windows touch: sweep their union as one run.
+		lo, hi = min(lo, lo2), max(hi, hi2)
+		lo2, hi2 = 0, -1
+	}
+	for _, r := range [2][2]int{{lo, hi}, {lo2, hi2}} {
+		for c := r[0]; c <= r[1]; c++ {
+			fetched++
+			if charge {
+				ix.walkPTEPAs = append(ix.walkPTEPAs, n.table.ClusterPA(c))
+			}
+			first := c * pte.ClusterSlots
+			for i := first; i < first+pte.ClusterSlots && i < n.table.Slots(); i++ {
+				if n.table.Get(i).Matches(v) {
+					return i, fetched, true
+				}
+			}
+		}
+	}
+	return 0, fetched, false
+}
+
+// window returns the cluster span covering the slots within maxDisp of t's
+// clamped prediction, clipped to the table.
+func (n *node) window(t addr.VPN) (lo, hi int) {
+	slots := n.table.Slots()
+	p := clampPred(int(n.predict(t)), slots)
+	return gapped.ClusterOf(max(p-n.maxDisp, 0)), gapped.ClusterOf(min(p+n.maxDisp, slots-1))
 }
 
 func clampPred(p, slots int) int {
@@ -228,12 +266,11 @@ func (ix *Index) SetFlags(v addr.VPN, set, clear pte.Entry) bool {
 	if n == nil || n.table == nil {
 		return false
 	}
-	pred := int(n.predict(v))
-	lr := n.table.Lookup(pred, v, n.table.Slots()/pte.ClusterSlots+1)
-	if !lr.Found {
+	slot, _, found := ix.find(n, v, false)
+	if !found {
 		return false
 	}
-	e := lr.Entry.WithFlags(set).ClearFlags(clear)
-	n.table.Set(lr.Slot, pte.Tagged{Tag: n.table.Get(lr.Slot).Tag, Entry: e})
+	s := n.table.Get(slot)
+	n.table.Set(slot, pte.Tagged{Tag: s.Tag, Entry: s.Entry.WithFlags(set).ClearFlags(clear)})
 	return true
 }

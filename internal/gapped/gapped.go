@@ -43,13 +43,12 @@ type extent struct {
 
 // Table is a gapped page table.
 type Table struct {
-	mem      *phys.Memory
-	extents  []extent
-	slots    []pte.Tagged
-	used     int
-	unsorted bool
+	mem     *phys.Memory
+	extents []extent
+	slots   []pte.Tagged
+	used    int
 	// clusterScratch backs LookupResult.Clusters: a result's Clusters view
-	// it and stay valid only until the table's next Lookup/LookupBinary.
+	// it and stay valid only until the table's next Lookup.
 	clusterScratch []int
 }
 
@@ -198,17 +197,16 @@ func (t *Table) Insert(pred int, tag addr.VPN, e pte.Entry, reach int) (slot int
 	// stale duplicate that a later walk or retrain can resurrect. Only when
 	// the key is provably absent within reach does the entry go to the
 	// nearest free slot seen along the way (the paper's exponential search,
-	// §4.3.2), preferring the closer side. Displacements beyond one cluster
-	// void the approximate sortedness the binary miss path relies on; the
-	// table flags itself so misses fall back to the exhaustive search.
-	free, freeDist := -1, 0
+	// §4.3.2), preferring the closer side. The caller records the
+	// displacement (slot − pred), which bounds every later search for tag.
+	free := -1
 	for d := 1; d <= reach; d++ {
 		if p+d < len(t.slots) {
 			if cur := t.slots[p+d]; cur.Valid() && cur.Tag == tag {
 				t.slots[p+d].Entry = e
 				return p + d, true, nil
 			} else if !cur.Valid() && free < 0 {
-				free, freeDist = p+d, d
+				free = p + d
 			}
 		}
 		if p-d >= 0 {
@@ -216,16 +214,13 @@ func (t *Table) Insert(pred int, tag addr.VPN, e pte.Entry, reach int) (slot int
 				t.slots[p-d].Entry = e
 				return p - d, true, nil
 			} else if !cur.Valid() && free < 0 {
-				free, freeDist = p-d, d
+				free = p - d
 			}
 		}
 	}
 	if free >= 0 {
 		t.slots[free] = pte.Tagged{Tag: tag, Entry: e}
 		t.used++
-		if freeDist > pte.ClusterSlots {
-			t.unsorted = true
-		}
 		return free, true, nil
 	}
 	return 0, true, ErrFull
@@ -246,9 +241,8 @@ func (t *Table) PlaceFrom(hint, pred int, tag addr.VPN, e pte.Entry) (int, error
 	}
 	if p >= len(t.slots) {
 		// Clamped predictions piled up at the table end; fall back to the
-		// first free slot anywhere (rare, pathological spaces only). This
-		// voids approximate sortedness.
-		t.unsorted = true
+		// first free slot anywhere (rare, pathological spaces only). The
+		// caller records the resulting displacement like any other.
 		p = 0
 		for p < len(t.slots) && t.slots[p].Valid() {
 			p++
@@ -265,14 +259,13 @@ func (t *Table) PlaceFrom(hint, pred int, tag addr.VPN, e pte.Entry) (int, error
 // LookupResult reports the outcome of a table lookup.
 type LookupResult struct {
 	Entry pte.Entry
-	Slot  int
 	// Accesses is the number of 64-byte cluster fetches performed,
 	// including the first; single-access translation means Accesses == 1.
 	Accesses int
 	// Clusters lists the cluster indices fetched, in fetch order; the
 	// simulator turns these into physical cache-line addresses. The slice
 	// views the table's reusable scratch and stays valid only until the
-	// table's next Lookup/LookupBinary.
+	// table's next Lookup.
 	Clusters []int
 	Found    bool
 }
@@ -297,7 +290,7 @@ func (t *Table) Lookup(pred int, vpn addr.VPN, maxExtra int) LookupResult {
 	// inserts within InsertReach), so a cluster whose smallest tag already
 	// exceeds the target means the target cannot live above it.
 	//lint:allow hotalloc non-escaping closure, stack-allocated
-	checkCluster := func(c int) (e pte.Entry, slot int, found bool, minTag, maxTag addr.VPN, any bool) {
+	checkCluster := func(c int) (e pte.Entry, found bool, minTag, maxTag addr.VPN, any bool) {
 		lo := c * pte.ClusterSlots
 		hi := lo + pte.ClusterSlots
 		if hi > len(t.slots) {
@@ -306,7 +299,7 @@ func (t *Table) Lookup(pred int, vpn addr.VPN, maxExtra int) LookupResult {
 		for i := lo; i < hi; i++ {
 			s := t.slots[i]
 			if s.Matches(vpn) {
-				return s.Entry, i, true, 0, 0, true
+				return s.Entry, true, 0, 0, true
 			}
 			if s.Valid() {
 				if !any || s.Tag < minTag {
@@ -318,15 +311,16 @@ func (t *Table) Lookup(pred int, vpn addr.VPN, maxExtra int) LookupResult {
 				any = true
 			}
 		}
-		return 0, 0, false, minTag, maxTag, any
+		return 0, false, minTag, maxTag, any
 	}
 
 	// Displacement from inserts is bounded by the insert reach (≈ one
 	// cluster), so directional evidence from a cluster applies to clusters
 	// at least two away. Pruning is a hardware fast-path heuristic: it is
-	// only applied to tightly bounded searches (the C_err walk); wide
-	// software-assisted searches stay exhaustive, preserving correctness
-	// even if a pathological table loses approximate sortedness.
+	// only applied to tightly bounded searches (the C_err walk) and may
+	// skip the matching cluster of a far-displaced entry, so Lookup is
+	// never the authority on absence. The exact search is the learned
+	// index's displacement-bounded window (core), which does not prune.
 	prune := maxExtra <= 8
 	searchDown, searchUp := true, true
 	tag2M := addr.AlignDown(vpn, addr.Page2M)
@@ -334,9 +328,9 @@ func (t *Table) Lookup(pred int, vpn addr.VPN, maxExtra int) LookupResult {
 	visit := func(c, dist int) bool {
 		res.Accesses++
 		res.Clusters = append(res.Clusters, c)
-		e, slot, ok, minTag, maxTag, any := checkCluster(c)
+		e, ok, minTag, maxTag, any := checkCluster(c)
 		if ok {
-			res.Entry, res.Slot, res.Found = e, slot, true
+			res.Entry, res.Found = e, true
 			return true
 		}
 		if prune && any && dist >= 1 {
@@ -377,167 +371,6 @@ func (t *Table) Lookup(pred int, vpn addr.VPN, maxExtra int) LookupResult {
 		}
 	}
 	return res
-}
-
-// LookupBinary resolves a lookup by binary search over the approximately
-// sorted table — the paper's §4.3.3 miss path ("a binary search is
-// performed within the min/max error range"). Two passes run: one
-// navigating to the lookup VPN itself (4 KB entries) and one to its 2 MB
-// base (huge-page entries). Navigation compares each probed cluster's tag
-// range against the pass target; a short linear sweep finishes. Cost is
-// O(log(slots)) cluster fetches, all counted.
-func (t *Table) LookupBinary(pred int, vpn addr.VPN) LookupResult {
-	res := LookupResult{Clusters: t.clusterScratch[:0]}
-	// As in Lookup: the defer and search closures are non-escaping and
-	// stack-allocated.
-	defer func() { t.clusterScratch = res.Clusters }() //lint:allow hotalloc non-escaping closure, stack-allocated
-	if len(t.slots) == 0 {
-		return res
-	}
-	last := ClusterOf(len(t.slots) - 1)
-	home := ClusterOf(t.clamp(pred))
-
-	//lint:allow hotalloc non-escaping closure, stack-allocated
-	probe := func(c int, target addr.VPN) (found, below, above, empty bool) {
-		res.Accesses++
-		res.Clusters = append(res.Clusters, c)
-		first := c * pte.ClusterSlots
-		lastSlot := first + pte.ClusterSlots
-		if lastSlot > len(t.slots) {
-			lastSlot = len(t.slots)
-		}
-		var minTag, maxTag addr.VPN
-		any := false
-		for i := first; i < lastSlot; i++ {
-			s := t.slots[i]
-			if s.Matches(vpn) {
-				res.Entry, res.Slot, res.Found = s.Entry, i, true
-				return true, false, false, false
-			}
-			if s.Valid() {
-				if !any || s.Tag < minTag {
-					minTag = s.Tag
-				}
-				if !any || s.Tag > maxTag {
-					maxTag = s.Tag
-				}
-				any = true
-			}
-		}
-		if !any {
-			return false, false, false, true
-		}
-		return false, maxTag < target, minTag > target, false
-	}
-
-	//lint:allow hotalloc non-escaping closure, stack-allocated
-	pass := func(target addr.VPN) bool {
-		lo, hi := 0, last
-		for hi-lo > 2 && res.Accesses < 64 {
-			mid := (lo + hi) / 2
-			found, below, above, empty := probe(mid, target)
-			if empty {
-				// A fully empty cluster carries no ordering information
-				// (gapped arrays keep slack): consult alternating
-				// neighbours until one has tags; if the whole
-				// neighbourhood is a gap, follow the model's prediction —
-				// the data for this key lies on the prediction's side.
-				decided := false
-				for k := 1; k <= 3 && res.Accesses < 60; k++ {
-					for _, c := range [...]int{mid + k, mid - k} {
-						if c < lo || c > hi {
-							continue
-						}
-						f2, b2, a2, e2 := probe(c, target)
-						if f2 {
-							return true
-						}
-						if e2 {
-							continue
-						}
-						decided = true
-						if b2 {
-							lo = c + 1
-						} else if a2 {
-							hi = c - 1
-						} else {
-							lo, hi = c-1, c+1
-							if lo < 0 {
-								lo = 0
-							}
-						}
-						break
-					}
-					if decided {
-						break
-					}
-				}
-				if !decided {
-					if home <= mid {
-						hi = mid - 1
-					} else {
-						lo = mid + 1
-					}
-				}
-				continue
-			}
-			switch {
-			case found:
-				return true
-			case below:
-				lo = mid + 1
-			case above:
-				hi = mid - 1
-			default:
-				// Straddling cluster without a match: the entry, if
-				// present, was displaced within insert reach of here.
-				lo, hi = mid-1, mid+1
-				if lo < 0 {
-					lo = 0
-				}
-			}
-		}
-		// Final sweep with a one-cluster margin: bounded insert
-		// displacement can shift an entry across a cluster boundary.
-		for c := lo - 1; c <= hi+1 && c <= last && res.Accesses < 96; c++ {
-			if c < 0 {
-				continue
-			}
-			if found, _, _, _ := probe(c, target); found {
-				return true
-			}
-		}
-		return false
-	}
-
-	if pass(vpn) {
-		return res
-	}
-	if base := addr.AlignDown(vpn, addr.Page2M); base != vpn {
-		pass(base)
-	}
-	return res
-}
-
-// Unsorted reports that a pathological bulk placement wrapped around the
-// table, voiding the approximate-sortedness the binary miss path relies
-// on; callers fall back to exhaustive search.
-func (t *Table) Unsorted() bool { return t.unsorted }
-
-// Erase clears the slot holding vpn near the predicted position. LVM keeps
-// the gap open for reuse (paper §5.2 "Free"); only the entry is cleared.
-func (t *Table) Erase(pred int, vpn addr.VPN, reach int) bool {
-	p := t.clamp(pred)
-	for d := 0; d <= reach; d++ {
-		for _, i := range []int{p + d, p - d} {
-			if i >= 0 && i < len(t.slots) && t.slots[i].Matches(vpn) {
-				t.slots[i] = pte.Tagged{}
-				t.used--
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // Expand grows the table by at least extraSlots slots. It first attempts to

@@ -161,24 +161,6 @@ func TestLookupHugePage(t *testing.T) {
 	}
 }
 
-func TestErase(t *testing.T) {
-	m := newMem()
-	tb, _ := New(m, 256, phys.MaxOrder)
-	tb.Insert(8, 77, pte.New(1, addr.Page4K), 16)
-	if !tb.Erase(8, 77, 16) {
-		t.Fatal("erase failed")
-	}
-	if tb.Used() != 0 {
-		t.Errorf("used = %d after erase", tb.Used())
-	}
-	if tb.Lookup(8, 77, 3).Found {
-		t.Error("erased key still found")
-	}
-	if tb.Erase(8, 77, 16) {
-		t.Error("second erase must fail")
-	}
-}
-
 func TestExpandInPlace(t *testing.T) {
 	m := newMem()
 	tb, _ := New(m, 256, phys.MaxOrder)
@@ -263,5 +245,42 @@ func TestQuickInsertLookupAgree(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestPlaceFromMonotone(t *testing.T) {
+	m := phys.New(16 << 20)
+	tb, _ := New(m, 1024, phys.MaxOrder)
+	hint := 0
+	// A plateau of equal predictions must place linearly without quadratic
+	// scanning and stay sorted.
+	for i := 0; i < 500; i++ {
+		slot, err := tb.PlaceFrom(hint, 100, addr.VPN(1000+i), pte.New(addr.PPN(i+1), addr.Page4K))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slot < 100 {
+			t.Fatalf("slot %d below prediction", slot)
+		}
+		hint = slot + 1
+	}
+	prev := addr.VPN(0)
+	for i := 0; i < tb.Slots(); i++ {
+		if s := tb.Get(i); s.Valid() {
+			if s.Tag < prev {
+				t.Fatal("order violated")
+			}
+			prev = s.Tag
+		}
+	}
+}
+
+func TestUsedPages(t *testing.T) {
+	m := phys.New(16 << 20)
+	tb, _ := New(m, 256, phys.MaxOrder)
+	tb.Set(0, pte.Tagged{Tag: 1, Entry: pte.New(1, addr.Page4K)})
+	tb.Set(1, pte.Tagged{Tag: 512, Entry: pte.New(512, addr.Page2M)})
+	if got := tb.UsedPages(); got != 513 {
+		t.Errorf("used pages = %d want 513", got)
 	}
 }
