@@ -4,11 +4,15 @@
 // The paper's §7.3 collision-rate baseline is "a hash table that has a load
 // factor of 0.6 and uses the state-of-the-art hash function Blake2"; the
 // repository is restricted to the standard library, so the algorithm is
-// implemented here from the RFC. Only the pieces the baseline needs are
-// provided: one-shot hashing and a convenience Sum64 for table indexing.
+// implemented here from the RFC. ECPT and Revelator index their tables with
+// it too. Only the pieces those tables need are provided: one-shot hashing
+// and a convenience Sum64 for table indexing.
 package blake2b
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // iv is the BLAKE2b initialization vector (RFC 7693 §2.6).
 var iv = [8]uint64{
@@ -34,46 +38,55 @@ var sigma = [12][16]uint8{
 	{14, 10, 4, 8, 9, 15, 13, 6, 1, 12, 0, 2, 11, 7, 5, 3},
 }
 
-func rotr(x uint64, n uint) uint64 { return x>>n | x<<(64-n) }
-
-// g is the BLAKE2b mixing function (RFC 7693 §3.1).
-func g(v *[16]uint64, a, b, c, d int, x, y uint64) {
-	v[a] = v[a] + v[b] + x
-	v[d] = rotr(v[d]^v[a], 32)
-	v[c] = v[c] + v[d]
-	v[b] = rotr(v[b]^v[c], 24)
-	v[a] = v[a] + v[b] + y
-	v[d] = rotr(v[d]^v[a], 16)
-	v[c] = v[c] + v[d]
-	v[b] = rotr(v[b]^v[c], 63)
+// g is the BLAKE2b mixing function (RFC 7693 §3.1). It takes and returns
+// the four words it mixes by value, so compress keeps its whole working
+// vector in locals (registers) and g inlines into it.
+func g(a, b, c, d, x, y uint64) (uint64, uint64, uint64, uint64) {
+	a += b + x
+	d = bits.RotateLeft64(d^a, -32)
+	c += d
+	b = bits.RotateLeft64(b^c, -24)
+	a += b + y
+	d = bits.RotateLeft64(d^a, -16)
+	c += d
+	b = bits.RotateLeft64(b^c, -63)
+	return a, b, c, d
 }
 
-// compress applies the F compression function to one 128-byte block.
-func compress(h *[8]uint64, block *[128]byte, t uint64, final bool) {
-	var m [16]uint64
+// compress applies the F compression function to one block of 16
+// little-endian message words.
+func compress(h *[8]uint64, m *[16]uint64, t uint64, final bool) {
+	v0, v1, v2, v3, v4, v5, v6, v7 := h[0], h[1], h[2], h[3], h[4], h[5], h[6], h[7]
+	v8, v9, v10, v11, v12, v13, v14, v15 := iv[0], iv[1], iv[2], iv[3], iv[4], iv[5], iv[6], iv[7]
+	v12 ^= t // low word of the offset counter; high word is 0 for our sizes
+	if final {
+		v14 = ^v14
+	}
+	for r := range sigma {
+		s := &sigma[r]
+		v0, v4, v8, v12 = g(v0, v4, v8, v12, m[s[0]], m[s[1]])
+		v1, v5, v9, v13 = g(v1, v5, v9, v13, m[s[2]], m[s[3]])
+		v2, v6, v10, v14 = g(v2, v6, v10, v14, m[s[4]], m[s[5]])
+		v3, v7, v11, v15 = g(v3, v7, v11, v15, m[s[6]], m[s[7]])
+		v0, v5, v10, v15 = g(v0, v5, v10, v15, m[s[8]], m[s[9]])
+		v1, v6, v11, v12 = g(v1, v6, v11, v12, m[s[10]], m[s[11]])
+		v2, v7, v8, v13 = g(v2, v7, v8, v13, m[s[12]], m[s[13]])
+		v3, v4, v9, v14 = g(v3, v4, v9, v14, m[s[14]], m[s[15]])
+	}
+	h[0] ^= v0 ^ v8
+	h[1] ^= v1 ^ v9
+	h[2] ^= v2 ^ v10
+	h[3] ^= v3 ^ v11
+	h[4] ^= v4 ^ v12
+	h[5] ^= v5 ^ v13
+	h[6] ^= v6 ^ v14
+	h[7] ^= v7 ^ v15
+}
+
+// decode loads one 128-byte block as 16 little-endian message words.
+func decode(m *[16]uint64, block []byte) {
 	for i := range m {
 		m[i] = binary.LittleEndian.Uint64(block[i*8:])
-	}
-	var v [16]uint64
-	copy(v[:8], h[:])
-	copy(v[8:], iv[:])
-	v[12] ^= t // low word of the offset counter; high word is 0 for our sizes
-	if final {
-		v[14] = ^v[14]
-	}
-	for r := 0; r < 12; r++ {
-		s := &sigma[r]
-		g(&v, 0, 4, 8, 12, m[s[0]], m[s[1]])
-		g(&v, 1, 5, 9, 13, m[s[2]], m[s[3]])
-		g(&v, 2, 6, 10, 14, m[s[4]], m[s[5]])
-		g(&v, 3, 7, 11, 15, m[s[6]], m[s[7]])
-		g(&v, 0, 5, 10, 15, m[s[8]], m[s[9]])
-		g(&v, 1, 6, 11, 12, m[s[10]], m[s[11]])
-		g(&v, 2, 7, 8, 13, m[s[12]], m[s[13]])
-		g(&v, 3, 4, 9, 14, m[s[14]], m[s[15]])
-	}
-	for i := 0; i < 8; i++ {
-		h[i] ^= v[i] ^ v[i+8]
 	}
 }
 
@@ -88,19 +101,20 @@ func Sum(data []byte, size int) []byte {
 	// Parameter block: digest length, fanout=1, depth=1.
 	h[0] ^= 0x01010000 ^ uint64(size)
 
-	var block [128]byte
+	var m [16]uint64
 	var t uint64
 	for len(data) > 128 {
-		copy(block[:], data[:128])
+		decode(&m, data[:128])
 		t += 128
-		compress(&h, &block, t, false)
+		compress(&h, &m, t, false)
 		data = data[128:]
 	}
-	// Final (possibly partial, possibly empty) block.
-	block = [128]byte{}
+	// Final (possibly partial, possibly empty) block, zero-padded.
+	var block [128]byte
 	copy(block[:], data)
+	decode(&m, block[:])
 	t += uint64(len(data))
-	compress(&h, &block, t, true)
+	compress(&h, &m, t, true)
 
 	out := make([]byte, 64)
 	for i := 0; i < 8; i++ {
@@ -117,16 +131,15 @@ func Sum256(data []byte) [32]byte {
 }
 
 // Sum64 hashes a 64-bit key and returns the first 8 digest bytes as a
-// uint64, the form the hashed-page-table baseline uses for slot selection.
+// uint64, the form the hashed tables use for slot selection.
 // It runs the single-block path inline — same parameter block and final
-// compression as Sum(key, 8) — so hot-path table indexing never allocates
-// a digest buffer.
+// compression as Sum(le64(key), 8) — with the key as the only nonzero
+// message word, so hot-path table indexing never allocates a digest buffer
+// or decodes a byte block.
 func Sum64(key uint64) uint64 {
-	var h [8]uint64
-	copy(h[:], iv[:])
+	h := iv
 	h[0] ^= 0x01010000 ^ 8
-	var block [128]byte
-	binary.LittleEndian.PutUint64(block[:], key)
-	compress(&h, &block, 8, true)
+	m := [16]uint64{key}
+	compress(&h, &m, 8, true)
 	return h[0]
 }

@@ -2,6 +2,7 @@ package blake2b
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"testing"
 	"testing/quick"
@@ -102,5 +103,45 @@ func TestQuickNoTrivialCollisions(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSum64MatchesSum pins Sum64 to the RFC function it abbreviates: the
+// hash of a key is the little-endian first word of the 8-byte BLAKE2b
+// digest of the key's 8 little-endian bytes.
+func TestSum64MatchesSum(t *testing.T) {
+	f := func(k uint64) bool {
+		var le [8]byte
+		binary.LittleEndian.PutUint64(le[:], k)
+		return Sum64(k) == binary.LittleEndian.Uint64(Sum(le[:], 8))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestGoldenDigests pins Sum64 and a multi-block Sum to fixed values, so a
+// rewrite of the compression function that drifted from the RFC in both
+// entry points at once still fails.
+func TestGoldenDigests(t *testing.T) {
+	for _, c := range []struct{ key, want uint64 }{
+		{0, 0x18cc49ca5bea08ca},
+		{1, 0xfd0529b07bbc0433},
+		{0x9e3779b97f4a7c15, 0x21994c98a83f2a39},
+		{^uint64(0), 0x2d0e9ddc2dfd74dd},
+	} {
+		if got := Sum64(c.key); got != c.want {
+			t.Errorf("Sum64(%#x) = %#016x, want %#016x", c.key, got, c.want)
+		}
+	}
+	// 300 bytes: two full blocks plus a partial final block.
+	data := make([]byte, 300)
+	for i := range data {
+		data[i] = byte(i)
+	}
+	const want = "d9cf5983dc6b34c0fa1f0226926855ad3eccd2bcdcd8f8053b9a80664d33b5af" +
+		"cc32fd21c70ea14f4ef50ca97c3203c4d1803159f0e01bb6cb1d1c83db52b63c"
+	if got := hex.EncodeToString(Sum(data, 64)); got != want {
+		t.Errorf("BLAKE2b-512(0..299) =\n%s want\n%s", got, want)
 	}
 }

@@ -108,16 +108,19 @@ func (c *cuckoo) insert(tag addr.VPN, e pte.Entry) error {
 		}
 	}
 	item := pte.Tagged{Tag: tag, Entry: e}
-	// Overwrite if present.
-	for _, w := range c.ways {
-		i := w.index(tag)
-		if w.slots[i].Valid() && w.slots[i].Tag == tag {
-			w.slots[i] = item
+	// Overwrite if present. The way indices hashed here also serve the
+	// first placement round.
+	var at [Ways]int
+	for k, w := range c.ways {
+		at[k] = w.index(tag)
+		if w.slots[at[k]].Valid() && w.slots[at[k]].Tag == tag {
+			w.slots[at[k]] = item
 			return nil
 		}
 	}
+	known := &at
 	for attempt := 0; attempt < 4; attempt++ {
-		homeless, ok := c.tryPlace(item)
+		homeless, ok := c.tryPlace(item, known)
 		if ok {
 			c.used++
 			return nil
@@ -128,28 +131,35 @@ func (c *cuckoo) insert(tag addr.VPN, e pte.Entry) error {
 		if err := c.resize(); err != nil {
 			return err
 		}
-		item = homeless
+		item, known = homeless, nil
 	}
 	return fmt.Errorf("ecpt: insert failed after resize")
 }
 
-// tryPlace attempts cuckoo placement. On failure it returns the item left
+// tryPlace attempts cuckoo placement. known, when non-nil, holds item's way
+// indices in the current ways, already hashed by the caller; otherwise each
+// way is hashed as the round reaches it. On failure it returns the item left
 // homeless at the end of the displacement chain (which is generally NOT the
 // item passed in — earlier links of the chain have been placed).
-func (c *cuckoo) tryPlace(item pte.Tagged) (pte.Tagged, bool) {
+func (c *cuckoo) tryPlace(item pte.Tagged, known *[Ways]int) (pte.Tagged, bool) {
+	var at [Ways]int
 	for kick := 0; kick < MaxKicks; kick++ {
-		for _, w := range c.ways {
-			i := w.index(item.Tag)
-			if !w.slots[i].Valid() {
-				w.slots[i] = item
+		for k, w := range c.ways {
+			if known != nil {
+				at[k] = known[k]
+			} else {
+				at[k] = w.index(item.Tag)
+			}
+			if !w.slots[at[k]].Valid() {
+				w.slots[at[k]] = item
 				return pte.Tagged{}, true
 			}
 		}
-		// All ways occupied: evict from a random way and retry with the
-		// displaced item.
-		w := c.ways[c.rng.Intn(Ways)]
-		i := w.index(item.Tag)
-		item, w.slots[i] = w.slots[i], item
+		known = nil
+		// All ways occupied: evict from a random way at the index this
+		// round just computed, and retry with the displaced item.
+		k := c.rng.Intn(Ways)
+		item, c.ways[k].slots[at[k]] = c.ways[k].slots[at[k]], item
 	}
 	return item, false
 }
@@ -169,7 +179,7 @@ func (c *cuckoo) resize() error {
 	for _, ow := range old {
 		for _, s := range ow.slots {
 			if s.Valid() {
-				if _, ok := c.tryPlace(s); !ok {
+				if _, ok := c.tryPlace(s, nil); !ok {
 					return fmt.Errorf("ecpt: rehash failed")
 				}
 				c.used++
@@ -204,15 +214,6 @@ func (c *cuckoo) remove(v addr.VPN) bool {
 		}
 	}
 	return false
-}
-
-// probeInto appends the d physical addresses a hardware walk fetches to
-// the open group of b, allocation-free.
-func (c *cuckoo) probeInto(b *mmu.WalkBuf, v addr.VPN) {
-	tag := addr.AlignDown(v, c.size)
-	for _, w := range c.ways {
-		b.Add(w.slotPA(w.index(tag)))
-	}
 }
 
 // Table is one process's ECPT: one cuckoo structure per page size plus the
@@ -268,15 +269,9 @@ func (t *Table) Map(v addr.VPN, e pte.Entry) error {
 	if err := c.insert(tag, e); err != nil {
 		return err
 	}
-	// Update CWT bits for every region the mapping touches.
-	regions := uint64(1)
-	if e.Size() == addr.Page2M {
-		regions = 1
-	}
-	base := t.region(tag)
-	for r := uint64(0); r < regions; r++ {
-		t.cwt[base+r] |= 1 << uint(e.Size())
-	}
+	// Both supported sizes fit in one 2MB region, so a mapping sets one
+	// region's CWT bit.
+	t.cwt[t.region(tag)] |= 1 << uint(e.Size())
 	return nil
 }
 
@@ -361,10 +356,11 @@ type Walker struct {
 	planASID uint16
 }
 
-// plan is one functional lookup's record: the CWT entry location and the
-// way-probe PAs of every indicated page-size table, computed with a single
-// hash per way (the scalar Walk hashes twice: once for the probe trace,
-// once for the match). The replay adds the live CWC probes.
+// plan is one walk's table-side record: the CWT entry location and the
+// way-probe PAs of every indicated page-size table, each way hashed once to
+// serve both the probe trace and the tag match. Table.plan fills it; replay
+// adds the live CWC probes. Lookup queues plans for WalkBatch, and the
+// scalar Walk plans and replays in one step.
 type plan struct {
 	vpn     addr.VPN
 	noTable bool
@@ -445,65 +441,20 @@ func (w *Walker) Walk(asid uint16, v addr.VPN) mmu.Outcome {
 // walkInto is Walk's engine over a caller-supplied (already reset) buffer,
 // so the batch path's mismatch fallback can walk into a slot buffer.
 func (w *Walker) walkInto(b *mmu.WalkBuf, t *Table, asid uint16, v addr.VPN) mmu.Outcome {
-	region := t.region(v)
-
-	// An empty mask truly means nothing is mapped in the region (the CWT
-	// is updated on Map), so no size bit is set and no probe is issued.
-	mask := t.cwt[region]
-	if !w.cwcPMD.Lookup(asid, region) && !w.cwcPUD.Lookup(asid, region>>9) {
-		// CWC miss: fetch the CWT entry from memory, then probe.
-		b.AddGroup(t.cwtPA(region))
-		w.cwcPMD.Insert(asid, region)
-		w.cwcPUD.Insert(asid, region>>9)
-	}
-
-	// All indicated page-size tables are probed as one parallel group,
-	// appended straight into the walk buffer; an empty group is dropped.
-	probeSizes := [...]addr.PageSize{addr.Page4K, addr.Page2M}
-	b.Group()
-	for _, s := range probeSizes {
-		if mask&(1<<uint(s)) != 0 {
-			t.tables[s].probeInto(b, v)
-		}
-	}
-	var entry pte.Entry
-	found := false
-	for _, s := range probeSizes {
-		if mask&(1<<uint(s)) != 0 {
-			if e, ok := t.tables[s].lookup(v); ok {
-				entry, found = e, true
-				break
-			}
-		}
-	}
-	return b.Outcome(entry, found, mmu.StepCycles)
+	p := plan{vpn: v}
+	t.plan(&p)
+	return w.replay(b, asid, &p)
 }
 
-// Lookup implements mmu.Lookuper: resolve the translation functionally and
-// record a walk plan. Each indicated way is hashed exactly once, serving
-// both the probe trace and the tag match — the scalar Walk hashes every
-// way twice (probeInto, then lookup).
-func (w *Walker) Lookup(asid uint16, v addr.VPN) (pte.Entry, bool) {
-	if w.planASID != asid {
-		w.plans = w.plans[:0]
-		w.planPos = 0
-		w.planASID = asid
-	}
-	var p plan
-	p.vpn = v
-	t, ok := w.table(asid)
-	if !ok {
-		p.noTable = true
-		//lint:allow hotalloc plan queue grows to the batch size once, then recycles
-		w.plans = append(w.plans, p)
-		return 0, false
-	}
+// plan resolves p.vpn functionally and records its walk plan. An empty CWT
+// mask truly means nothing is mapped in the region (the CWT is updated on
+// Map), so no size is probed. Sizes are probed 4K before 2M and ways in
+// order, all as one parallel group; the first matching (size, way) wins.
+func (t *Table) plan(p *plan) {
+	v := p.vpn
 	p.region = t.region(v)
 	p.cwtPA = t.cwtPA(p.region)
 	mask := t.cwt[p.region]
-	// Sizes probed 4K before 2M and ways in order, matching the scalar
-	// probe trace; the first matching (size, way) wins, matching the
-	// scalar break-at-first-size lookup loop.
 	for _, s := range [...]addr.PageSize{addr.Page4K, addr.Page2M} {
 		if mask&(1<<uint(s)) == 0 {
 			continue
@@ -519,14 +470,30 @@ func (w *Walker) Lookup(asid uint16, v addr.VPN) (pte.Entry, bool) {
 			}
 		}
 	}
+}
+
+// Lookup implements mmu.Lookuper: resolve the translation functionally and
+// queue its walk plan for WalkBatch.
+func (w *Walker) Lookup(asid uint16, v addr.VPN) (pte.Entry, bool) {
+	if w.planASID != asid {
+		w.plans = w.plans[:0]
+		w.planPos = 0
+		w.planASID = asid
+	}
+	p := plan{vpn: v}
+	if t, ok := w.table(asid); ok {
+		t.plan(&p)
+	} else {
+		p.noTable = true
+	}
 	//lint:allow hotalloc plan queue grows to the batch size once, then recycles
 	w.plans = append(w.plans, p)
 	return p.entry, p.found
 }
 
 // replay performs the timing half of a planned walk: live CWC probes and
-// fills, probe trace from the plan. The emitted trace is exactly the
-// scalar Walk's for the same table state.
+// fills (a CWC miss fetches the CWT entry before the probes), then the
+// plan's probe group; an empty group is dropped.
 func (w *Walker) replay(b *mmu.WalkBuf, asid uint16, p *plan) mmu.Outcome {
 	if p.noTable {
 		return mmu.Outcome{}

@@ -68,8 +68,8 @@ type coordinator struct {
 	os   experiments.OrchSink
 
 	mu       sync.Mutex
-	cond     *sync.Cond    // signals finished; uses mu
-	states   []*runState   // plan order; guarded by mu
+	cond     *sync.Cond  // signals finished; uses mu
+	states   []*runState // plan order; guarded by mu
 	byKey    map[experiments.RunKey]*runState
 	workers  []*workerConn // guarded by mu
 	nextName int           // guarded by mu

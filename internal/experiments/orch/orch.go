@@ -127,8 +127,8 @@ func orchSinkOf(s experiments.Sink) experiments.OrchSink {
 
 type nopOrchSink struct{}
 
-func (nopOrchSink) WorkerConnected(string, string, int)            {}
-func (nopOrchSink) WorkerGone(string, error)                       {}
-func (nopOrchSink) RunAssigned(experiments.RunKey, string, bool)   {}
-func (nopOrchSink) RunRetry(experiments.RunKey, int, int, string)  {}
-func (nopOrchSink) RunDuplicate(experiments.RunKey, string)        {}
+func (nopOrchSink) WorkerConnected(string, string, int)           {}
+func (nopOrchSink) WorkerGone(string, error)                      {}
+func (nopOrchSink) RunAssigned(experiments.RunKey, string, bool)  {}
+func (nopOrchSink) RunRetry(experiments.RunKey, int, int, string) {}
+func (nopOrchSink) RunDuplicate(experiments.RunKey, string)       {}

@@ -134,9 +134,9 @@ func (l *Loader) importModule(path string) (*types.Package, error) {
 type fileClass int
 
 const (
-	goFilesOnly fileClass = iota // GoFiles
-	withInPkgTests               // GoFiles + TestGoFiles
-	xTestsOnly                   // XTestGoFiles
+	goFilesOnly    fileClass = iota // GoFiles
+	withInPkgTests                  // GoFiles + TestGoFiles
+	xTestsOnly                      // XTestGoFiles
 )
 
 // parseDir parses the requested class of files in dir, honoring build tags

@@ -28,11 +28,11 @@ type Server struct {
 	quit  chan struct{} // closed by Close; cancels queued admissions
 
 	mu       sync.Mutex
-	ln       net.Listener              // guarded by mu
-	wls      map[string]*workloadOnce  // guarded by mu
-	sessions map[uint64]*session       // guarded by mu
-	nextID   uint64                    // guarded by mu
-	closing  bool                      // guarded by mu
+	ln       net.Listener             // guarded by mu
+	wls      map[string]*workloadOnce // guarded by mu
+	sessions map[uint64]*session      // guarded by mu
+	nextID   uint64                   // guarded by mu
+	closing  bool                     // guarded by mu
 
 	wg sync.WaitGroup
 }

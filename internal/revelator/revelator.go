@@ -99,14 +99,33 @@ func (t *Table) slotPA(i uint64) addr.PA {
 // hashpt.Lookup). A fixed array, not a literal in the hot path.
 var probeSizes = [3]addr.PageSize{addr.Page4K, addr.Page2M, addr.Page1G}
 
+// homes records the home slot of each page size's probe chain for one
+// VPN, in probeSizes order; n counts the sizes hashed so far. A home depends
+// only on the tag and the table size, which is fixed at New, so recorded
+// homes stay valid across map and unmap.
+type homes struct {
+	at [len(probeSizes)]uint64
+	n  int
+}
+
 // lookup resolves v by probing the chain for each page size, 4 KB first.
-// When b is non-nil each probed slot is appended as its own sequential
-// group — the probes are dependent loads, and the chain's PAs are what the
-// timing walk charges to the caches.
 func (t *Table) lookup(b *mmu.WalkBuf, v addr.VPN) (pte.Entry, bool) {
-	for _, s := range probeSizes {
+	var hs homes
+	return t.probe(b, v, &hs)
+}
+
+// probe is lookup reusing the homes already in hs and recording in it each
+// home it hashes. When b is non-nil each probed slot is appended as its own
+// sequential group — the probes are dependent loads, and the chain's PAs
+// are what the timing walk charges to the caches.
+func (t *Table) probe(b *mmu.WalkBuf, v addr.VPN, hs *homes) (pte.Entry, bool) {
+	for si, s := range probeSizes {
 		tag := addr.AlignDown(v, s)
-		h := t.home(tag)
+		if si == hs.n {
+			hs.at[si] = t.home(tag)
+			hs.n++
+		}
+		h := hs.at[si]
 		for d := uint64(0); d < uint64(len(t.slots)); d++ {
 			i := (h + d) & t.mask
 			if b != nil {
@@ -238,7 +257,19 @@ type Walker struct {
 	// it after the BeginVerify mark, so composing the trace never copies.
 	buf mmu.WalkBuf
 
+	// plans queue the probe homes recorded by Lookup, consumed in order by
+	// WalkBatch (see the mmu.Lookuper contract).
+	plans    []plan
+	planPos  int
+	planASID uint16
+
 	specResolved, specMisses stats.Counter
+}
+
+// plan is one Lookup's record: the VPN and the homes it hashed.
+type plan struct {
+	vpn   addr.VPN
+	homes homes
 }
 
 // NewWalker creates the walker (radix PWC sizing from Table 1 for the
@@ -294,7 +325,8 @@ func (w *Walker) Walk(asid uint16, v addr.VPN) mmu.Outcome {
 		return mmu.Outcome{}
 	}
 	w.buf.Reset()
-	return w.walkInto(&w.buf, t, asid, v, false)
+	var hs homes
+	return w.walkInto(&w.buf, t, asid, v, &hs, false)
 }
 
 // walkInto emits one walk's trace into b: the hash probe chain (dependent
@@ -304,9 +336,9 @@ func (w *Walker) Walk(asid uint16, v addr.VPN) mmu.Outcome {
 // the hash computation plus the verify walk's PWC probes. A hash miss means
 // the page is unmapped (the table mirrors the radix exactly): the fault is
 // confirmed by the OS, so no verify walk is issued. batched selects the
-// radix walker's plan-replay entry point.
-func (w *Walker) walkInto(b *mmu.WalkBuf, t *Table, asid uint16, v addr.VPN, batched bool) mmu.Outcome {
-	e, found := t.lookup(b, v)
+// radix walker's plan-replay entry point; hs supplies homes already hashed.
+func (w *Walker) walkInto(b *mmu.WalkBuf, t *Table, asid uint16, v addr.VPN, hs *homes, batched bool) mmu.Outcome {
+	e, found := t.probe(b, v, hs)
 	if !found {
 		w.specMisses.Inc()
 		return b.Outcome(0, false, mmu.StepCycles)
@@ -322,25 +354,33 @@ func (w *Walker) walkInto(b *mmu.WalkBuf, t *Table, asid uint16, v addr.VPN, bat
 	return b.Outcome(e, true, mmu.StepCycles+radOut.WalkCacheCycles)
 }
 
-// Lookup implements mmu.Lookuper: resolve from the hash table; on a hit the
-// embedded radix walker records the verify-walk plan the following
-// WalkBatch replays. The hash table only changes on OS map/unmap — never
-// during a batch — so WalkBatch recomputes the same probe chain live.
+// Lookup implements mmu.Lookuper: resolve from the hash table and queue
+// the probe homes it hashed; on a hit the embedded radix walker records the
+// verify-walk plan the following WalkBatch replays.
 func (w *Walker) Lookup(asid uint16, v addr.VPN) (pte.Entry, bool) {
+	if w.planASID != asid {
+		w.plans = w.plans[:0]
+		w.planPos = 0
+		w.planASID = asid
+	}
 	t, ok := w.table(asid)
 	if !ok {
 		return 0, false
 	}
-	e, found := t.lookup(nil, v)
+	p := plan{vpn: v}
+	e, found := t.probe(nil, v, &p.homes)
+	//lint:allow hotalloc plan queue grows to the batch size once, then recycles
+	w.plans = append(w.plans, p)
 	if found {
 		w.rad.Lookup(asid, v)
 	}
 	return e, found
 }
 
-// WalkBatch implements mmu.BatchWalker: re-probe the hash table per slot
-// (identical to the Lookup-time chain) and replay the recorded radix verify
-// plans.
+// WalkBatch implements mmu.BatchWalker: walk each slot's probe chain from
+// the homes Lookup queued (hashing afresh when the queue head is for
+// another VPN or ASID), replay the recorded radix verify plans, and drain
+// both plan queues.
 func (w *Walker) WalkBatch(asid uint16, vpns []addr.VPN, bufs *mmu.WalkBatchBuf) {
 	bufs.Reset(len(vpns))
 	t, ok := w.table(asid)
@@ -349,8 +389,15 @@ func (w *Walker) WalkBatch(asid uint16, vpns []addr.VPN, bufs *mmu.WalkBatchBuf)
 			bufs.SetOutcome(i, mmu.Outcome{})
 			continue
 		}
-		bufs.SetOutcome(i, w.walkInto(bufs.Buf(i), t, asid, v, true))
+		var hs homes
+		if w.planPos < len(w.plans) && asid == w.planASID && w.plans[w.planPos].vpn == v {
+			hs = w.plans[w.planPos].homes
+			w.planPos++
+		}
+		bufs.SetOutcome(i, w.walkInto(bufs.Buf(i), t, asid, v, &hs, true))
 	}
+	w.plans = w.plans[:0]
+	w.planPos = 0
 	w.rad.FlushPlans()
 }
 

@@ -195,55 +195,86 @@ func TestWalkTraceShape(t *testing.T) {
 
 // TestBatchMatchesScalar runs the Lookup-then-WalkBatch pipeline against a
 // fresh walker's scalar walks: every slot must agree on entry, groups, and
-// the verify partition.
+// the verify partition. ASIDs 1 and 2 have tables of different sizes, so
+// homes hashed for one table are wrong for the other; 2M mappings make a
+// walk hash two homes (the 4K chain misses first).
 func TestBatchMatchesScalar(t *testing.T) {
-	build := func() (*Table, *Walker) {
-		tb := newTable(t, 64)
+	build := func() *Walker {
 		w := NewWalker()
-		w.Attach(1, tb)
-		for i := 0; i < 32; i++ {
-			if err := tb.Map(addr.VPN(i*3), pte.New(addr.PPN(0x100+i), addr.Page4K)); err != nil {
-				t.Fatal(err)
+		for _, as := range []struct {
+			asid     uint16
+			expected int
+		}{{1, 64}, {2, 5000}} {
+			tb := newTable(t, as.expected)
+			w.Attach(as.asid, tb)
+			for i := 0; i < 32; i++ {
+				if err := tb.Map(addr.VPN(i*3), pte.New(addr.PPN(0x100+i), addr.Page4K)); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		return tb, w
-	}
-	_, batched := build()
-	_, scalar := build()
-	vpns := []addr.VPN{0, 3, 30, 5 /* unmapped */, 93, 0}
-
-	for _, v := range vpns {
-		batched.Lookup(1, v)
-	}
-	var bufs mmu.WalkBatchBuf
-	batched.WalkBatch(1, vpns, &bufs)
-
-	for i, v := range vpns {
-		got := bufs.Outcome(i)
-		want := scalar.Walk(1, v)
-		if got.Found != want.Found || got.Entry != want.Entry {
-			t.Fatalf("slot %d (vpn %d): %v/%t, scalar %v/%t",
-				i, v, got.Entry, got.Found, want.Entry, want.Found)
-		}
-		if got.NumGroups() != want.NumGroups() || got.VerifyGroups() != want.VerifyGroups() {
-			t.Fatalf("slot %d (vpn %d): trace %d/%d groups, scalar %d/%d",
-				i, v, got.NumGroups(), got.VerifyGroups(), want.NumGroups(), want.VerifyGroups())
-		}
-		if got.WalkCacheCycles != want.WalkCacheCycles {
-			t.Errorf("slot %d (vpn %d): wcc %d, scalar %d",
-				i, v, got.WalkCacheCycles, want.WalkCacheCycles)
-		}
-		for gi := 0; gi < want.NumGroups(); gi++ {
-			gg, wg := got.Group(gi), want.Group(gi)
-			if len(gg) != len(wg) {
-				t.Fatalf("slot %d group %d: %v vs %v", i, gi, gg, wg)
-			}
-			for j := range wg {
-				if gg[j] != wg[j] {
-					t.Errorf("slot %d group %d[%d]: %#x vs %#x", i, gi, j, gg[j], wg[j])
+			for i := 1; i <= 2; i++ {
+				v := addr.VPN(i << 9)
+				if err := tb.Map(v, pte.New(addr.PPN(i<<12), addr.Page2M)); err != nil {
+					t.Fatal(err)
 				}
 			}
 		}
+		if w.tables[1].Slots() == w.tables[2].Slots() {
+			t.Fatal("fixture tables must differ in size")
+		}
+		return w
+	}
+	vpns := []addr.VPN{0, 3, 30, 5 /* unmapped */, 512 + 7, 93, 1024, 0}
+	cases := []struct {
+		name       string
+		lookupASID uint16
+		planned    []addr.VPN
+		walkASID   uint16
+	}{
+		{"replay", 1, vpns, 1},
+		{"replay second table", 2, vpns, 2},
+		{"vpn mismatch", 1, []addr.VPN{0, 30, 512 + 7, 1024, 0}, 1},
+		{"asid mismatch", 1, vpns, 2},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			batched, scalar := build(), build()
+			for _, v := range c.planned {
+				batched.Lookup(c.lookupASID, v)
+			}
+			var bufs mmu.WalkBatchBuf
+			batched.WalkBatch(c.walkASID, vpns, &bufs)
+			for i, v := range vpns {
+				got := bufs.Outcome(i)
+				want := scalar.Walk(c.walkASID, v)
+				if got.Found != want.Found || got.Entry != want.Entry {
+					t.Fatalf("slot %d (vpn %d): %v/%t, scalar %v/%t",
+						i, v, got.Entry, got.Found, want.Entry, want.Found)
+				}
+				if got.NumGroups() != want.NumGroups() || got.VerifyGroups() != want.VerifyGroups() {
+					t.Fatalf("slot %d (vpn %d): trace %d/%d groups, scalar %d/%d",
+						i, v, got.NumGroups(), got.VerifyGroups(), want.NumGroups(), want.VerifyGroups())
+				}
+				if got.WalkCacheCycles != want.WalkCacheCycles {
+					t.Errorf("slot %d (vpn %d): wcc %d, scalar %d",
+						i, v, got.WalkCacheCycles, want.WalkCacheCycles)
+				}
+				for gi := 0; gi < want.NumGroups(); gi++ {
+					gg, wg := got.Group(gi), want.Group(gi)
+					if len(gg) != len(wg) {
+						t.Fatalf("slot %d group %d: %v vs %v", i, gi, gg, wg)
+					}
+					for j := range wg {
+						if gg[j] != wg[j] {
+							t.Errorf("slot %d group %d[%d]: %#x vs %#x", i, gi, j, gg[j], wg[j])
+						}
+					}
+				}
+			}
+			if len(batched.plans) != 0 {
+				t.Errorf("WalkBatch left %d queued plans", len(batched.plans))
+			}
+		})
 	}
 }
 
