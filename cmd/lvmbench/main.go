@@ -75,7 +75,7 @@ func main() {
 	merge := flag.String("merge", "", "comma-separated shard documents to recombine; computes tables exactly as an unsharded run would")
 	cacheDir := flag.String("cache", "", "persistent run-output cache directory; completed runs are stored there and warm sweeps skip their simulations")
 	warmup := flag.Int("warmup", 0, "fast-forward the first N accesses of every run through functional state before measuring (changes measured counters; part of the run key and config fingerprint)")
-	batch := flag.Int("batch", 0, "translation pipeline chunk size; pure performance knob, every value produces bit-identical output (0 = default, 1 = scalar path)")
+	batch := flag.Int("batch", 0, "translation pipeline chunk size; pure performance knob, every value produces bit-identical output (0 = default, 1 = chunks of one access)")
 	serve := flag.String("serve", "", "listen on this address as the sweep coordinator: dispatch the plan's runs to -worker processes, then render tables locally")
 	worker := flag.String("worker", "", "connect to a coordinator at this address and execute assigned runs with -j local workers until the sweep shuts down")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this path")

@@ -129,19 +129,15 @@ type Walker struct {
 	// prefetches with the validating walk never copies a trace.
 	buf mmu.WalkBuf
 
-	// plans queue the VMA decisions recorded by Lookup, consumed in order
-	// by WalkBatch; the embedded radix walker queues the matching walk
-	// plans (see the mmu.Lookuper contract).
-	plans    []plan
-	planPos  int
-	planASID uint16
+	// plans queue the VMA decisions recorded by Lookup for WalkBatch; the
+	// embedded radix walker queues the matching walk plans.
+	plans mmu.PlanQueue[plan]
 }
 
 // plan is one functional lookup's record: whether the VMA is prefetchable
 // and, if so, the two flat prefetch PAs. The translation itself is planned
 // by the embedded radix walker.
 type plan struct {
-	vpn      addr.VPN
 	noTable  bool
 	prefetch bool
 	pt, pmd  addr.PA
@@ -214,19 +210,14 @@ func (w *Walker) Walk(asid uint16, v addr.VPN) mmu.Outcome {
 // PAs) here, and delegate the translation to the embedded radix walker's
 // Lookup so its plan queue stays aligned with ours.
 func (w *Walker) Lookup(asid uint16, v addr.VPN) (pte.Entry, bool) {
-	if w.planASID != asid {
-		w.plans = w.plans[:0]
-		w.planPos = 0
-		w.planASID = asid
+	if w.plans.ASID() != asid {
 		w.rad.FlushPlans()
 	}
 	var p plan
-	p.vpn = v
 	t, ok := w.table(asid)
 	if !ok {
 		p.noTable = true
-		//lint:allow hotalloc plan queue grows to the batch size once, then recycles
-		w.plans = append(w.plans, p)
+		w.plans.Push(asid, v, p)
 		return 0, false
 	}
 	if vm := t.vmaFor(v); vm != nil && vm.prefetchable {
@@ -234,8 +225,7 @@ func (w *Walker) Lookup(asid uint16, v addr.VPN) (pte.Entry, bool) {
 		p.pt = addr.SlotPA(vm.ptBase, uint64(v-vm.lo), pte.Bytes)
 		p.pmd = addr.SlotPA(vm.pmdBase, uint64(v-vm.lo)/512, pte.Bytes)
 	}
-	//lint:allow hotalloc plan queue grows to the batch size once, then recycles
-	w.plans = append(w.plans, p)
+	w.plans.Push(asid, v, p)
 	return w.rad.Lookup(asid, v)
 }
 
@@ -246,9 +236,7 @@ func (w *Walker) WalkBatch(asid uint16, vpns []addr.VPN, bufs *mmu.WalkBatchBuf)
 	bufs.Reset(len(vpns))
 	for i, v := range vpns {
 		b := bufs.Buf(i)
-		if w.planPos < len(w.plans) && asid == w.planASID && w.plans[w.planPos].vpn == v {
-			p := &w.plans[w.planPos]
-			w.planPos++
+		if p := w.plans.Next(asid, v); p != nil {
 			if p.noTable {
 				bufs.SetOutcome(i, mmu.Outcome{})
 				continue
@@ -274,11 +262,8 @@ func (w *Walker) WalkBatch(asid uint16, vpns []addr.VPN, bufs *mmu.WalkBatchBuf)
 		}
 		bufs.SetOutcome(i, w.rad.WalkNextInto(b, asid, v))
 	}
-	w.plans = w.plans[:0]
-	w.planPos = 0
+	w.plans.Drain()
 	w.rad.FlushPlans()
 }
 
-var _ mmu.Walker = (*Walker)(nil)
 var _ mmu.BatchWalker = (*Walker)(nil)
-var _ mmu.Lookuper = (*Walker)(nil)

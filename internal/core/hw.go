@@ -31,15 +31,14 @@ type HWWalker struct {
 	lastAt   attachment
 	hasLast  bool
 
-	// plans queue the walk plans recorded by Lookup, consumed in order by
-	// WalkBatch (see the mmu.Lookuper contract). Index.Walk returns slices
-	// viewing the index's reusable scratch, so Lookup copies each result's
-	// nodes and cluster PAs into the walker-owned flat arrays below.
-	plans      []walkPlan
+	// plans queue the walk plans recorded by Lookup for WalkBatch.
+	// Index.Walk returns slices viewing the index's reusable scratch, so
+	// Lookup copies each result's nodes and cluster PAs into the
+	// walker-owned flat arrays below, which drainPlans resets with the
+	// queue.
+	plans      mmu.PlanQueue[walkPlan]
 	planNodes  []NodeRef
 	planPTEPAs []addr.PA
-	planPos    int
-	planASID   uint16
 	// reconciled marks that OS retrain/rebuild events were already applied
 	// for the current batch; within one batch nothing mutates the index
 	// (Index.Walk only bumps SearchOverflows, which reconcile ignores), so
@@ -50,7 +49,6 @@ type HWWalker struct {
 // walkPlan is one functional traversal's record: offsets into the shared
 // planNodes/planPTEPAs scratch plus the resolved entry.
 type walkPlan struct {
-	vpn              addr.VPN
 	noIndex          bool
 	nodeOff, nodeEnd int32
 	pteOff, pteEnd   int32
@@ -175,16 +173,14 @@ func (w *HWWalker) walkInto(b *mmu.WalkBuf, asid uint16, v addr.VPN) mmu.Outcome
 // miss). OS retrain/rebuild reconciliation runs once per batch; see the
 // reconciled field for why that equals the scalar per-walk reconcile.
 func (w *HWWalker) Lookup(asid uint16, v addr.VPN) (pte.Entry, bool) {
-	if w.planASID != asid {
-		w.drainPlans(asid)
+	if w.plans.ASID() != asid {
+		w.drainPlans()
 	}
 	var p walkPlan
-	p.vpn = v
 	at, ok := w.attachmentFor(asid)
 	if !ok {
 		p.noIndex = true
-		//lint:allow hotalloc plan queue grows to the batch size once, then recycles
-		w.plans = append(w.plans, p)
+		w.plans.Push(asid, v, p)
 		return 0, false
 	}
 	if !w.reconciled {
@@ -205,8 +201,7 @@ func (w *HWWalker) Lookup(asid uint16, v addr.VPN) (pte.Entry, bool) {
 	w.planPTEPAs = append(w.planPTEPAs, r.PTEPAs...)
 	p.pteEnd = int32(len(w.planPTEPAs))
 	p.entry, p.found = r.Entry, r.Found
-	//lint:allow hotalloc plan queue grows to the batch size once, then recycles
-	w.plans = append(w.plans, p)
+	w.plans.Push(asid, v, p)
 	return p.entry, p.found
 }
 
@@ -218,9 +213,7 @@ func (w *HWWalker) WalkBatch(asid uint16, vpns []addr.VPN, bufs *mmu.WalkBatchBu
 	bufs.Reset(len(vpns))
 	for i, v := range vpns {
 		b := bufs.Buf(i)
-		if w.planPos < len(w.plans) && asid == w.planASID && w.plans[w.planPos].vpn == v {
-			p := &w.plans[w.planPos]
-			w.planPos++
+		if p := w.plans.Next(asid, v); p != nil {
 			if p.noIndex {
 				bufs.SetOutcome(i, mmu.Outcome{})
 				continue
@@ -241,16 +234,14 @@ func (w *HWWalker) WalkBatch(asid uint16, vpns []addr.VPN, bufs *mmu.WalkBatchBu
 		}
 		bufs.SetOutcome(i, w.walkInto(b, asid, v))
 	}
-	w.drainPlans(asid)
+	w.drainPlans()
 }
 
 // drainPlans clears the plan queue and scratch for a new batch.
-func (w *HWWalker) drainPlans(asid uint16) {
-	w.plans = w.plans[:0]
+func (w *HWWalker) drainPlans() {
+	w.plans.Drain()
 	w.planNodes = w.planNodes[:0]
 	w.planPTEPAs = w.planPTEPAs[:0]
-	w.planPos = 0
-	w.planASID = asid
 	w.reconciled = false
 }
 
@@ -286,6 +277,4 @@ func (w *HWWalker) reconcile(asid uint16, ix *Index) {
 	}
 }
 
-var _ mmu.Walker = (*HWWalker)(nil)
 var _ mmu.BatchWalker = (*HWWalker)(nil)
-var _ mmu.Lookuper = (*HWWalker)(nil)

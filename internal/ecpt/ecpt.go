@@ -349,11 +349,8 @@ type Walker struct {
 	// stay valid until the next Walk.
 	buf mmu.WalkBuf
 
-	// plans queue the walk plans recorded by Lookup, consumed in order by
-	// WalkBatch (see the mmu.Lookuper contract).
-	plans    []plan
-	planPos  int
-	planASID uint16
+	// plans queue the walk plans recorded by Lookup for WalkBatch.
+	plans mmu.PlanQueue[plan]
 }
 
 // plan is one walk's table-side record: the CWT entry location and the
@@ -362,7 +359,6 @@ type Walker struct {
 // adds the live CWC probes. Lookup queues plans for WalkBatch, and the
 // scalar Walk plans and replays in one step.
 type plan struct {
-	vpn     addr.VPN
 	noTable bool
 	region  uint64
 	cwtPA   addr.PA
@@ -441,17 +437,16 @@ func (w *Walker) Walk(asid uint16, v addr.VPN) mmu.Outcome {
 // walkInto is Walk's engine over a caller-supplied (already reset) buffer,
 // so the batch path's mismatch fallback can walk into a slot buffer.
 func (w *Walker) walkInto(b *mmu.WalkBuf, t *Table, asid uint16, v addr.VPN) mmu.Outcome {
-	p := plan{vpn: v}
-	t.plan(&p)
+	var p plan
+	t.plan(&p, v)
 	return w.replay(b, asid, &p)
 }
 
-// plan resolves p.vpn functionally and records its walk plan. An empty CWT
+// plan resolves v functionally and records its walk plan. An empty CWT
 // mask truly means nothing is mapped in the region (the CWT is updated on
 // Map), so no size is probed. Sizes are probed 4K before 2M and ways in
 // order, all as one parallel group; the first matching (size, way) wins.
-func (t *Table) plan(p *plan) {
-	v := p.vpn
+func (t *Table) plan(p *plan, v addr.VPN) {
 	p.region = t.region(v)
 	p.cwtPA = t.cwtPA(p.region)
 	mask := t.cwt[p.region]
@@ -475,19 +470,13 @@ func (t *Table) plan(p *plan) {
 // Lookup implements mmu.Lookuper: resolve the translation functionally and
 // queue its walk plan for WalkBatch.
 func (w *Walker) Lookup(asid uint16, v addr.VPN) (pte.Entry, bool) {
-	if w.planASID != asid {
-		w.plans = w.plans[:0]
-		w.planPos = 0
-		w.planASID = asid
-	}
-	p := plan{vpn: v}
+	var p plan
 	if t, ok := w.table(asid); ok {
-		t.plan(&p)
+		t.plan(&p, v)
 	} else {
 		p.noTable = true
 	}
-	//lint:allow hotalloc plan queue grows to the batch size once, then recycles
-	w.plans = append(w.plans, p)
+	w.plans.Push(asid, v, p)
 	return p.entry, p.found
 }
 
@@ -517,22 +506,15 @@ func (w *Walker) WalkBatch(asid uint16, vpns []addr.VPN, bufs *mmu.WalkBatchBuf)
 	bufs.Reset(len(vpns))
 	for i, v := range vpns {
 		b := bufs.Buf(i)
-		if w.planPos < len(w.plans) && asid == w.planASID && w.plans[w.planPos].vpn == v {
-			p := &w.plans[w.planPos]
-			w.planPos++
+		if p := w.plans.Next(asid, v); p != nil {
 			bufs.SetOutcome(i, w.replay(b, asid, p))
-			continue
-		}
-		if t, ok := w.table(asid); ok {
+		} else if t, ok := w.table(asid); ok {
 			bufs.SetOutcome(i, w.walkInto(b, t, asid, v))
 		} else {
 			bufs.SetOutcome(i, mmu.Outcome{})
 		}
 	}
-	w.plans = w.plans[:0]
-	w.planPos = 0
+	w.plans.Drain()
 }
 
-var _ mmu.Walker = (*Walker)(nil)
 var _ mmu.BatchWalker = (*Walker)(nil)
-var _ mmu.Lookuper = (*Walker)(nil)

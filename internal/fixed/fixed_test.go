@@ -181,13 +181,31 @@ func TestQuickMulMatchesFloat(t *testing.T) {
 }
 
 func TestQuickFloorRound(t *testing.T) {
-	// Property: Floor(q) <= q.Float() < Floor(q)+1.
-	f := func(v int64) bool {
-		q := Q(v)
+	// Exact property over all of int64: Floor(q) is the largest n with
+	// n*Scale <= q, so 0 <= q - Floor(q)<<FracBits < Scale.
+	exact := func(v int64) bool {
+		rem := v - Q(v).Floor()<<FracBits
+		return 0 <= rem && rem < Scale
+	}
+	// Float form, Floor(q) <= q.Float() < Floor(q)+1, for |q| < 2^53, where
+	// Float is exact (beyond that float64's 53-bit mantissa rounds q).
+	floatForm := func(q Q) bool {
 		fl := float64(q.Floor())
 		return fl <= q.Float() && q.Float() < fl+1
 	}
-	if err := quick.Check(f, nil); err != nil {
+	for _, v := range []int64{0, 1, -1, Scale - 1, -Scale, 1<<53 - 1, -(1<<53 - 1), math.MaxInt64, math.MinInt64} {
+		if !exact(v) {
+			t.Errorf("exact floor property fails at %d", v)
+		}
+		if v > -(1<<53) && v < 1<<53 && !floatForm(Q(v)) {
+			t.Errorf("float floor property fails at %d", v)
+		}
+	}
+	if err := quick.Check(exact, nil); err != nil {
+		t.Error(err)
+	}
+	// v>>11 maps any int64 draw onto [-2^52, 2^52).
+	if err := quick.Check(func(v int64) bool { return floatForm(Q(v >> 11)) }, nil); err != nil {
 		t.Error(err)
 	}
 }

@@ -233,11 +233,8 @@ type Walker struct {
 	// stay valid until the next Walk.
 	buf mmu.WalkBuf
 
-	// plans queue the walk plans recorded by Lookup, consumed in order by
-	// WalkBatch (see the mmu.Lookuper contract).
-	plans    []plan
-	planPos  int
-	planASID uint16
+	// plans queue the walk plans recorded by Lookup for WalkBatch.
+	plans mmu.PlanQueue[plan]
 }
 
 // plan is one functional lookup's record: the fetch PAs of the folded (or
@@ -245,7 +242,6 @@ type Walker struct {
 // leaf-table installs happen during Lookup, in arrival order — exactly
 // where the scalar Walk would perform them.
 type plan struct {
-	vpn     addr.VPN
 	noTable bool
 	folded  bool
 	upperPA addr.PA
@@ -336,18 +332,11 @@ func (w *Walker) walkInto(b *mmu.WalkBuf, t *Table, asid uint16, v addr.VPN) mmu
 // (performing any first-touch region or lazy leaf-table installs exactly
 // where the scalar Walk would) and record the fetch chain for WalkBatch.
 func (w *Walker) Lookup(asid uint16, v addr.VPN) (pte.Entry, bool) {
-	if w.planASID != asid {
-		w.plans = w.plans[:0]
-		w.planPos = 0
-		w.planASID = asid
-	}
 	var p plan
-	p.vpn = v
 	t, ok := w.table(asid)
 	if !ok {
 		p.noTable = true
-		//lint:allow hotalloc plan queue grows to the batch size once, then recycles
-		w.plans = append(w.plans, p)
+		w.plans.Push(asid, v, p)
 		return 0, false
 	}
 	r := t.regionFor(v)
@@ -358,20 +347,19 @@ func (w *Walker) Lookup(asid uint16, v addr.VPN) (pte.Entry, bool) {
 	}
 	p.leafPA = t.leafPA(r, v)
 	p.entry, p.found = t.Lookup(v)
-	//lint:allow hotalloc plan queue grows to the batch size once, then recycles
-	w.plans = append(w.plans, p)
+	w.plans.Push(asid, v, p)
 	return p.entry, p.found
 }
 
 // replay performs the timing half of a planned walk: the upper-PWC probe
 // and fill run live, the fetch chain comes from the plan.
-func (w *Walker) replay(b *mmu.WalkBuf, asid uint16, p *plan) mmu.Outcome {
+func (w *Walker) replay(b *mmu.WalkBuf, asid uint16, v addr.VPN, p *plan) mmu.Outcome {
 	if p.noTable {
 		return mmu.Outcome{}
 	}
-	if !w.upper.Lookup(asid, uint64(p.vpn)>>upperIndexBits) {
+	if !w.upper.Lookup(asid, uint64(v)>>upperIndexBits) {
 		b.AddGroup(p.upperPA)
-		w.upper.Insert(asid, uint64(p.vpn)>>upperIndexBits)
+		w.upper.Insert(asid, uint64(v)>>upperIndexBits)
 	}
 	if p.folded {
 		b.AddGroup(p.leafPA)
@@ -389,22 +377,15 @@ func (w *Walker) WalkBatch(asid uint16, vpns []addr.VPN, bufs *mmu.WalkBatchBuf)
 	bufs.Reset(len(vpns))
 	for i, v := range vpns {
 		b := bufs.Buf(i)
-		if w.planPos < len(w.plans) && asid == w.planASID && w.plans[w.planPos].vpn == v {
-			p := &w.plans[w.planPos]
-			w.planPos++
-			bufs.SetOutcome(i, w.replay(b, asid, p))
-			continue
-		}
-		if t, ok := w.table(asid); ok {
+		if p := w.plans.Next(asid, v); p != nil {
+			bufs.SetOutcome(i, w.replay(b, asid, v, p))
+		} else if t, ok := w.table(asid); ok {
 			bufs.SetOutcome(i, w.walkInto(b, t, asid, v))
 		} else {
 			bufs.SetOutcome(i, mmu.Outcome{})
 		}
 	}
-	w.plans = w.plans[:0]
-	w.planPos = 0
+	w.plans.Drain()
 }
 
-var _ mmu.Walker = (*Walker)(nil)
 var _ mmu.BatchWalker = (*Walker)(nil)
-var _ mmu.Lookuper = (*Walker)(nil)

@@ -100,17 +100,13 @@ type Walker struct {
 	// stay valid until the next Walk.
 	buf mmu.WalkBuf
 
-	// plans queue the walk plans recorded by Lookup, consumed in order by
-	// WalkBatch (see the mmu.Lookuper contract).
-	plans    []plan
-	planPos  int
-	planASID uint16
+	// plans queue the walk plans recorded by Lookup for WalkBatch.
+	plans mmu.PlanQueue[plan]
 }
 
 // plan is one functional lookup's record: the single slot PA plus the
 // resolved entry (the ideal walker has no walk-cache state to replay).
 type plan struct {
-	vpn     addr.VPN
 	noTable bool
 	pa      addr.PA
 	entry   pte.Entry
@@ -171,24 +167,14 @@ func (w *Walker) Walk(asid uint16, v addr.VPN) mmu.Outcome {
 // Lookup implements mmu.Lookuper: resolve the translation and record the
 // slot PA the timing walk fetches.
 func (w *Walker) Lookup(asid uint16, v addr.VPN) (pte.Entry, bool) {
-	if w.planASID != asid {
-		w.plans = w.plans[:0]
-		w.planPos = 0
-		w.planASID = asid
-	}
 	var p plan
-	p.vpn = v
-	t, ok := w.table(asid)
-	if !ok {
+	if t, ok := w.table(asid); ok {
+		p.entry, p.found = t.Lookup(v)
+		p.pa = t.entryPA(addr.AlignDown(v, p.entry.Size()), p.entry.Size())
+	} else {
 		p.noTable = true
-		//lint:allow hotalloc plan queue grows to the batch size once, then recycles
-		w.plans = append(w.plans, p)
-		return 0, false
 	}
-	p.entry, p.found = t.Lookup(v)
-	p.pa = t.entryPA(addr.AlignDown(v, p.entry.Size()), p.entry.Size())
-	//lint:allow hotalloc plan queue grows to the batch size once, then recycles
-	w.plans = append(w.plans, p)
+	w.plans.Push(asid, v, p)
 	return p.entry, p.found
 }
 
@@ -199,9 +185,7 @@ func (w *Walker) WalkBatch(asid uint16, vpns []addr.VPN, bufs *mmu.WalkBatchBuf)
 	bufs.Reset(len(vpns))
 	for i, v := range vpns {
 		b := bufs.Buf(i)
-		if w.planPos < len(w.plans) && asid == w.planASID && w.plans[w.planPos].vpn == v {
-			p := &w.plans[w.planPos]
-			w.planPos++
+		if p := w.plans.Next(asid, v); p != nil {
 			if p.noTable {
 				bufs.SetOutcome(i, mmu.Outcome{})
 				continue
@@ -218,10 +202,7 @@ func (w *Walker) WalkBatch(asid uint16, vpns []addr.VPN, bufs *mmu.WalkBatchBuf)
 			bufs.SetOutcome(i, mmu.Outcome{})
 		}
 	}
-	w.plans = w.plans[:0]
-	w.planPos = 0
+	w.plans.Drain()
 }
 
-var _ mmu.Walker = (*Walker)(nil)
 var _ mmu.BatchWalker = (*Walker)(nil)
-var _ mmu.Lookuper = (*Walker)(nil)

@@ -1,16 +1,16 @@
 package lint
 
 // hotalloc statically seals the zero-allocation invariant of the
-// translate-then-access hot path. PR 4 made sim.step allocation-free and
-// guards it dynamically with TestStepZeroAllocs, but only at the handful
-// of scheme/config pairs the test runs; a new scheme or a refactor can
+// translate-then-access hot path. TestStepZeroAllocs guards the
+// translation pipeline dynamically, but only at the handful of
+// scheme/config pairs the test runs; a new scheme or a refactor can
 // reintroduce an allocation on an untested path and silently regress
 // ns/op. hotalloc walks the whole-program call graph instead: from the
-// roots — sim.step, CPU.translate, and every Walk/WalkInto method of a
-// type implementing mmu.Walker — it visits everything reachable inside
-// the hardware-model packages and flags every heap-allocating construct,
-// and judges calls that leave the scope by the callee's exported
-// Allocates fact.
+// roots — the pipeline's entry points in sim and every
+// Walk/WalkInto/WalkBatch/Lookup method of a type implementing mmu.Walker
+// — it visits everything reachable inside the hardware-model packages and
+// flags every heap-allocating construct, and judges calls that leave the
+// scope by the callee's exported Allocates fact.
 
 import (
 	"go/types"
@@ -56,7 +56,7 @@ func inHotAllocScope(path string) bool { return hotAllocPkgs[StripVariant(path)]
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
 	Doc: "hotalloc statically seals the zero-allocation translate hot path. " +
-		"From the roots sim.step, CPU.translate, the batch pipeline " +
+		"From the roots of the translation pipeline " +
 		"(CPU.TranslateBatch, CPU.FastForward), the serving drive loop's " +
 		"inner call (Session.Step), and every scheme walker's " +
 		"Walk/WalkInto/WalkBatch/Lookup (resolved through the cross-package " +
@@ -91,7 +91,7 @@ func runHotAlloc(pass *ProgramPass) {
 		}
 		recv := n.Recv()
 		switch n.Fn.Name() {
-		case "step", "translate", "TranslateBatch", "FastForward":
+		case "TranslateBatch", "FastForward":
 			if n.Pkg.PkgPath == ModulePath+"/internal/sim" && recv != nil && isCPUType(recv) {
 				roots = append(roots, n)
 			}

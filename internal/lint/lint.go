@@ -19,8 +19,9 @@
 // analyzers consume:
 //
 //   - hotalloc: nothing reachable from the translate-then-access hot path
-//     (sim.step, CPU.translate, every scheme walker's Walk/WalkInto) may
-//     heap-allocate — the static seal over TestStepZeroAllocs;
+//     (the sim translation pipeline, every scheme walker's
+//     Walk/WalkInto/WalkBatch/Lookup) may heap-allocate — the static seal
+//     over TestStepZeroAllocs;
 //   - syncsafe: concurrency discipline for the scheduler and experiment
 //     pipeline — no mutex copies, no untracked goroutines, and
 //     `// guarded by <mu>` fields only touched with the lock held;

@@ -204,22 +204,78 @@ type Walker interface {
 // Lookuper is the functional half of a batched walker: Lookup resolves a
 // translation without charging walk caches or emitting a memory-request
 // trace, so the simulator can fill the TLB before the timing walk runs.
-// Walkers record a per-VPN walk plan during Lookup; a following WalkBatch
-// over the same (asid, vpn) sequence replays the recorded plans, so each
-// table traversal happens exactly once per miss.
+// Walkers record a per-VPN walk plan during Lookup (in a PlanQueue); a
+// following WalkBatch over the same (asid, vpn) sequence replays the
+// recorded plans, so each table traversal happens exactly once per miss.
 type Lookuper interface {
 	Lookup(asid uint16, v addr.VPN) (pte.Entry, bool)
 }
 
-// BatchWalker extends Walker with a batched seam: one call walks a whole
-// miss batch, amortizing per-walk dispatch and keeping walker scratch and
-// walk caches hot. Implementations must preserve per-access outcome
+// BatchWalker is the seam the simulator translates through: Lookup
+// resolves each L2-TLB miss functionally, then one WalkBatch call walks the
+// whole miss batch, amortizing per-walk dispatch and keeping walker scratch
+// and walk caches hot. Implementations must preserve per-access outcome
 // ordering and produce, for each vpns[i], exactly the walk-cache operations
 // and request trace the scalar Walk would — slot i's Outcome views
-// bufs.Buf(i) and stays valid until the next WalkBatch.
+// bufs.Buf(i) and stays valid until the next WalkBatch. WalkBatch drains
+// the plans the preceding Lookups queued. Walk stays the per-walk
+// reference that WalkBatch is tested against.
 type BatchWalker interface {
 	Walker
+	Lookuper
 	WalkBatch(asid uint16, vpns []addr.VPN, bufs *WalkBatchBuf)
+}
+
+// PlanQueue is the FIFO of walk plans a BatchWalker records in Lookup and
+// replays in WalkBatch. Each walker supplies only its plan record P; the
+// queue keys every plan by the (asid, vpn) it was recorded for, so a
+// WalkBatch whose VPN sequence departs from the Lookups (or a caller that
+// walks without looking up first) finds no match and walks fresh. The zero
+// value is an empty queue for ASID 0.
+type PlanQueue[P any] struct {
+	items []queuedPlan[P]
+	pos   int
+	asid  uint16
+}
+
+type queuedPlan[P any] struct {
+	vpn  addr.VPN
+	plan P
+}
+
+// Push queues p as the plan recorded for (asid, v). A batch never spans
+// address spaces, so a push under a new ASID first drops the plans queued
+// under the previous one.
+func (q *PlanQueue[P]) Push(asid uint16, v addr.VPN, p P) {
+	if asid != q.asid {
+		q.Drain()
+		q.asid = asid
+	}
+	//lint:allow hotalloc plan queue grows to the batch size once, then recycles
+	q.items = append(q.items, queuedPlan[P]{vpn: v, plan: p})
+}
+
+// Next consumes the head plan if it was recorded for (asid, v) and returns
+// it; otherwise it returns nil and consumes nothing. The pointer is valid
+// until the next Push.
+func (q *PlanQueue[P]) Next(asid uint16, v addr.VPN) *P {
+	if q.pos < len(q.items) && asid == q.asid && q.items[q.pos].vpn == v {
+		q.pos++
+		return &q.items[q.pos-1].plan
+	}
+	return nil
+}
+
+// ASID returns the address space the queued plans belong to.
+func (q *PlanQueue[P]) ASID() uint16 { return q.asid }
+
+// Len returns the number of plans pushed since the last drain.
+func (q *PlanQueue[P]) Len() int { return len(q.items) }
+
+// Drain empties the queue, keeping its capacity.
+func (q *PlanQueue[P]) Drain() {
+	q.items = q.items[:0]
+	q.pos = 0
 }
 
 // WalkBatchBuf holds the per-slot walk buffers and sealed outcomes of one
@@ -251,29 +307,6 @@ func (b *WalkBatchBuf) SetOutcome(i int, o Outcome) { b.outs[i] = o }
 
 // Outcome returns slot i's sealed result, valid until the next Reset.
 func (b *WalkBatchBuf) Outcome(i int) Outcome { return b.outs[i] }
-
-// WalkSerial adapts any Walker to the WalkBatch seam by looping Walk and
-// copying each trace into its slot, so schemes can adopt native batched
-// walks incrementally.
-func WalkSerial(w Walker, asid uint16, vpns []addr.VPN, bufs *WalkBatchBuf) {
-	bufs.Reset(len(vpns))
-	for i, v := range vpns {
-		out := w.Walk(asid, v)
-		b := &bufs.bufs[i]
-		//lint:allow hotalloc appends grow each slot to the scheme's max trace once
-		b.pas = append(b.pas[:0], out.pas...)
-		//lint:allow hotalloc appends grow each slot to the scheme's max trace once
-		b.ends = append(b.ends[:0], out.ends...)
-		bufs.outs[i] = Outcome{
-			Entry:           out.Entry,
-			Found:           out.Found,
-			WalkCacheCycles: out.WalkCacheCycles,
-			pas:             b.pas,
-			ends:            b.ends,
-			verifyGroups:    out.verifyGroups,
-		}
-	}
-}
 
 // StepCycles is the walk-cache lookup / model-computation latency per step
 // (Table 1: 2 cycles for PWC, CWC and LWC).

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"lvm/internal/addr"
-	"lvm/internal/pte"
 )
 
 func TestOutcomeRefs(t *testing.T) {
@@ -249,74 +248,47 @@ func TestOverlapLatency(t *testing.T) {
 	}
 }
 
-// verifyWalker emits a per-VPN trace with a verify suffix, for exercising
-// the WalkSerial adaptation. Fixtures are explicit so slot mix-ups surface
-// as value mismatches.
-type verifyWalker struct{ buf WalkBuf }
+// TestPlanQueue pins the queue contract every batched walker relies on:
+// plans come back in push order only for the (asid, vpn) they were recorded
+// for, a mismatch consumes nothing, a push under a new ASID drops the old
+// ASID's plans, and Drain empties the queue for reuse.
+func TestPlanQueue(t *testing.T) {
+	var q PlanQueue[int]
+	q.Push(1, 10, 100)
+	q.Push(1, 11, 110)
+	if p := q.Next(2, 10); p != nil {
+		t.Fatalf("ASID mismatch returned plan %d", *p)
+	}
+	if p := q.Next(1, 11); p != nil {
+		t.Fatalf("out-of-order VPN returned plan %d", *p)
+	}
+	if p := q.Next(1, 10); p == nil || *p != 100 {
+		t.Fatalf("head plan = %v, want 100", p)
+	}
+	if p := q.Next(1, 11); p == nil || *p != 110 {
+		t.Fatalf("second plan = %v, want 110", p)
+	}
+	if p := q.Next(1, 11); p != nil {
+		t.Fatalf("exhausted queue returned plan %d", *p)
+	}
+	if q.Len() != 2 {
+		t.Fatalf("Len = %d before Drain, want 2", q.Len())
+	}
+	q.Drain()
+	if q.Len() != 0 || q.Next(1, 10) != nil {
+		t.Fatal("Drain left plans queued")
+	}
 
-var verifyWalkerFixtures = map[addr.VPN]struct {
-	probe addr.PA
-	ppn   addr.PPN
-}{
-	3: {0x3000, 0x33},
-	5: {0x5000, 0x55},
-	9: {0x9000, 0x99},
-}
-
-func (w *verifyWalker) Name() string { return "verify-test" }
-
-func (w *verifyWalker) Walk(asid uint16, v addr.VPN) Outcome {
-	fx := verifyWalkerFixtures[v]
-	w.buf.Reset()
-	w.buf.AddGroup(fx.probe)
-	w.buf.BeginVerify()
-	w.buf.AddGroup(0x7000, 0x8000)
-	return w.buf.Outcome(pte.New(fx.ppn, addr.Page4K), true, StepCycles)
-}
-
-// TestWalkSerialVerifyPassthrough checks the serial batch adapter copies the
-// verify partition along with the trace: each slot's Outcome must agree with
-// the scalar walk on groups, verify split, and overlap latency.
-func TestWalkSerialVerifyPassthrough(t *testing.T) {
-	w := &verifyWalker{}
-	vpns := []addr.VPN{3, 5, 9}
-	var bufs WalkBatchBuf
-	mmuWalkSerialTwice(t, w, vpns, &bufs)
-}
-
-// mmuWalkSerialTwice runs WalkSerial twice over the same batch (slot reuse
-// must not leak a previous verify mark) and checks every slot both times.
-func mmuWalkSerialTwice(t *testing.T, w Walker, vpns []addr.VPN, bufs *WalkBatchBuf) {
-	t.Helper()
-	for round := 0; round < 2; round++ {
-		WalkSerial(w, 1, vpns, bufs)
-		for i, v := range vpns {
-			got := bufs.Outcome(i)
-			want := w.Walk(1, v)
-			if got.NumGroups() != want.NumGroups() || got.VerifyGroups() != want.VerifyGroups() {
-				t.Fatalf("round %d slot %d: groups %d/%d, want %d/%d",
-					round, i, got.NumGroups(), got.VerifyGroups(), want.NumGroups(), want.VerifyGroups())
-			}
-			if got.Entry != want.Entry || got.Found != want.Found {
-				t.Errorf("round %d slot %d: entry %v/%v, want %v/%v",
-					round, i, got.Entry, got.Found, want.Entry, want.Found)
-			}
-			if g, ww := got.OverlapLatency(10, 2, 15), want.OverlapLatency(10, 2, 15); g != ww {
-				t.Errorf("round %d slot %d: overlap latency %d, want %d", round, i, g, ww)
-			}
-			for gi := 0; gi < want.NumGroups(); gi++ {
-				gg, wg := got.Group(gi), want.Group(gi)
-				if len(gg) != len(wg) {
-					t.Fatalf("round %d slot %d group %d: %v, want %v", round, i, gi, gg, wg)
-				}
-				for j := range wg {
-					if gg[j] != wg[j] {
-						t.Errorf("round %d slot %d group %d[%d]: %#x, want %#x",
-							round, i, gi, j, gg[j], wg[j])
-					}
-				}
-			}
-		}
+	q.Push(1, 20, 200)
+	q.Push(3, 30, 300)
+	if q.ASID() != 3 || q.Len() != 1 {
+		t.Fatalf("after ASID switch: asid %d len %d, want 3 and 1", q.ASID(), q.Len())
+	}
+	if p := q.Next(1, 20); p != nil {
+		t.Fatalf("plan of the previous ASID survived the switch: %d", *p)
+	}
+	if p := q.Next(3, 30); p == nil || *p != 300 {
+		t.Fatalf("plan after switch = %v, want 300", p)
 	}
 }
 

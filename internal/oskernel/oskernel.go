@@ -200,7 +200,7 @@ func NewSystemHW(mem *phys.Memory, scheme Scheme, hw HWConfig) *System {
 }
 
 // Walker returns the scheme's hardware walker.
-func (s *System) Walker() mmu.Walker {
+func (s *System) Walker() mmu.BatchWalker {
 	switch s.Scheme {
 	case SchemeRadix, SchemeMidgard:
 		return s.radWalker

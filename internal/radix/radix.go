@@ -172,11 +172,8 @@ type Walker struct {
 	// stay valid until the next Walk.
 	buf mmu.WalkBuf
 
-	// plans queue the walk plans recorded by Lookup, consumed in order by
-	// WalkBatch (see the mmu.Lookuper contract).
-	plans    []plan
-	planPos  int
-	planASID uint16
+	// plans queue the walk plans recorded by Lookup for WalkBatch.
+	plans mmu.PlanQueue[plan]
 }
 
 // plan is one functional traversal's record: the entry PAs along the
@@ -184,7 +181,6 @@ type Walker struct {
 // replay combines it with live PWC probes to emit exactly the scalar
 // Walk's trace without touching the table again.
 type plan struct {
-	vpn addr.VPN
 	// pas[l-1] is the entry PA the walk fetches at level l.
 	pas [addr.RadixLevels]addr.PA
 	// leafLevel is the level holding a present leaf (0 = not mapped).
@@ -325,18 +321,11 @@ func (w *Walker) WalkInto(b *mmu.WalkBuf, asid uint16, v addr.VPN) mmu.Outcome {
 // the translation without walk-cache charges or trace emission, recording
 // a plan the next WalkBatch replays.
 func (w *Walker) Lookup(asid uint16, v addr.VPN) (pte.Entry, bool) {
-	if w.planASID != asid {
-		w.plans = w.plans[:0]
-		w.planPos = 0
-		w.planASID = asid
-	}
 	var p plan
-	p.vpn = v
 	t, ok := w.table(asid)
 	if !ok {
 		p.noTable = true
-		//lint:allow hotalloc plan queue grows to the batch size once, then recycles
-		w.plans = append(w.plans, p)
+		w.plans.Push(asid, v, p)
 		return 0, false
 	}
 	n := t.root
@@ -355,8 +344,7 @@ func (w *Walker) Lookup(asid uint16, v addr.VPN) (pte.Entry, bool) {
 		}
 		n = n.children[idx]
 	}
-	//lint:allow hotalloc plan queue grows to the batch size once, then recycles
-	w.plans = append(w.plans, p)
+	w.plans.Push(asid, v, p)
 	return p.entry, p.leafLevel != 0
 }
 
@@ -365,9 +353,7 @@ func (w *Walker) Lookup(asid uint16, v addr.VPN) (pte.Entry, bool) {
 // state; otherwise it falls back to a fresh full walk. ASAP composes it
 // the same way it composes WalkInto.
 func (w *Walker) WalkNextInto(b *mmu.WalkBuf, asid uint16, v addr.VPN) mmu.Outcome {
-	if w.planPos < len(w.plans) && asid == w.planASID && w.plans[w.planPos].vpn == v {
-		p := &w.plans[w.planPos]
-		w.planPos++
+	if p := w.plans.Next(asid, v); p != nil {
 		return w.replay(b, asid, v, p)
 	}
 	return w.WalkInto(b, asid, v)
@@ -428,13 +414,9 @@ func (w *Walker) WalkBatch(asid uint16, vpns []addr.VPN, bufs *mmu.WalkBatchBuf)
 // FlushPlans drains the plan queue after a batch. Composing walkers (ASAP)
 // that consume plans through WalkNextInto call this at the end of their
 // own WalkBatch.
-func (w *Walker) FlushPlans() {
-	w.plans = w.plans[:0]
-	w.planPos = 0
-}
+func (w *Walker) FlushPlans() { w.plans.Drain() }
 
 var _ mmu.BatchWalker = (*Walker)(nil)
-var _ mmu.Lookuper = (*Walker)(nil)
 
 // fill populates the PWC levels traversed down to (but not including) the
 // leaf level.
@@ -449,5 +431,3 @@ func (w *Walker) fill(asid uint16, v addr.VPN, leafLevel int) {
 		w.pml4e.Insert(asid, uint64(v)>>27)
 	}
 }
-
-var _ mmu.Walker = (*Walker)(nil)

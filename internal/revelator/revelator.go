@@ -257,19 +257,10 @@ type Walker struct {
 	// it after the BeginVerify mark, so composing the trace never copies.
 	buf mmu.WalkBuf
 
-	// plans queue the probe homes recorded by Lookup, consumed in order by
-	// WalkBatch (see the mmu.Lookuper contract).
-	plans    []plan
-	planPos  int
-	planASID uint16
+	// plans queue the probe homes Lookup hashed, for WalkBatch.
+	plans mmu.PlanQueue[homes]
 
 	specResolved, specMisses stats.Counter
-}
-
-// plan is one Lookup's record: the VPN and the homes it hashed.
-type plan struct {
-	vpn   addr.VPN
-	homes homes
 }
 
 // NewWalker creates the walker (radix PWC sizing from Table 1 for the
@@ -358,19 +349,13 @@ func (w *Walker) walkInto(b *mmu.WalkBuf, t *Table, asid uint16, v addr.VPN, hs 
 // the probe homes it hashed; on a hit the embedded radix walker records the
 // verify-walk plan the following WalkBatch replays.
 func (w *Walker) Lookup(asid uint16, v addr.VPN) (pte.Entry, bool) {
-	if w.planASID != asid {
-		w.plans = w.plans[:0]
-		w.planPos = 0
-		w.planASID = asid
-	}
 	t, ok := w.table(asid)
 	if !ok {
 		return 0, false
 	}
-	p := plan{vpn: v}
-	e, found := t.probe(nil, v, &p.homes)
-	//lint:allow hotalloc plan queue grows to the batch size once, then recycles
-	w.plans = append(w.plans, p)
+	var hs homes
+	e, found := t.probe(nil, v, &hs)
+	w.plans.Push(asid, v, hs)
 	if found {
 		w.rad.Lookup(asid, v)
 	}
@@ -390,17 +375,13 @@ func (w *Walker) WalkBatch(asid uint16, vpns []addr.VPN, bufs *mmu.WalkBatchBuf)
 			continue
 		}
 		var hs homes
-		if w.planPos < len(w.plans) && asid == w.planASID && w.plans[w.planPos].vpn == v {
-			hs = w.plans[w.planPos].homes
-			w.planPos++
+		if p := w.plans.Next(asid, v); p != nil {
+			hs = *p
 		}
 		bufs.SetOutcome(i, w.walkInto(bufs.Buf(i), t, asid, v, &hs, true))
 	}
-	w.plans = w.plans[:0]
-	w.planPos = 0
+	w.plans.Drain()
 	w.rad.FlushPlans()
 }
 
-var _ mmu.Walker = (*Walker)(nil)
 var _ mmu.BatchWalker = (*Walker)(nil)
-var _ mmu.Lookuper = (*Walker)(nil)

@@ -271,8 +271,8 @@ func TestBatchMatchesScalar(t *testing.T) {
 					}
 				}
 			}
-			if len(batched.plans) != 0 {
-				t.Errorf("WalkBatch left %d queued plans", len(batched.plans))
+			if n := batched.plans.Len(); n != 0 {
+				t.Errorf("WalkBatch left %d queued plans", n)
 			}
 		})
 	}
@@ -283,5 +283,55 @@ func TestTableBytesIncludesHashRegion(t *testing.T) {
 	if tb.TableBytes() != tb.Radix.TableBytes()+phys.BlockBytes(tb.order) {
 		t.Errorf("TableBytes = %d, want radix %d + hash %d",
 			tb.TableBytes(), tb.Radix.TableBytes(), phys.BlockBytes(tb.order))
+	}
+}
+
+// TestBatchSlotReuse runs two batches through one WalkBatchBuf: slot 0's
+// first walk carries a verify region, its second (an unmapped page) must
+// not inherit the old mark, and every slot of both rounds must equal a
+// fresh walker's scalar walk.
+func TestBatchSlotReuse(t *testing.T) {
+	build := func() *Walker {
+		tb := newTable(t, 64)
+		w := NewWalker()
+		w.Attach(1, tb)
+		for i, v := range []addr.VPN{7, 8, 40} {
+			if err := tb.Map(v, pte.New(addr.PPN(0x100+i), addr.Page4K)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return w
+	}
+	batched, scalar := build(), build()
+	var bufs mmu.WalkBatchBuf
+	for round, vpns := range [][]addr.VPN{{7, 8, 40}, {9, 40}} {
+		for _, v := range vpns {
+			batched.Lookup(1, v)
+		}
+		batched.WalkBatch(1, vpns, &bufs)
+		for i, v := range vpns {
+			got, want := bufs.Outcome(i), scalar.Walk(1, v)
+			if got.Found != want.Found || got.Entry != want.Entry ||
+				got.NumGroups() != want.NumGroups() || got.VerifyGroups() != want.VerifyGroups() {
+				t.Fatalf("round %d slot %d (vpn %d): %v/%t %d/%d groups, scalar %v/%t %d/%d",
+					round, i, v, got.Entry, got.Found, got.NumGroups(), got.VerifyGroups(),
+					want.Entry, want.Found, want.NumGroups(), want.VerifyGroups())
+			}
+			if g, w := got.OverlapLatency(10, 2, 15), want.OverlapLatency(10, 2, 15); g != w {
+				t.Errorf("round %d slot %d: overlap latency %d, scalar %d", round, i, g, w)
+			}
+			ga, wa := got.AllRefs(), want.AllRefs()
+			if len(ga) != len(wa) {
+				t.Fatalf("round %d slot %d: refs %v, scalar %v", round, i, ga, wa)
+			}
+			for j := range wa {
+				if ga[j] != wa[j] {
+					t.Errorf("round %d slot %d ref %d: %#x, scalar %#x", round, i, j, ga[j], wa[j])
+				}
+			}
+		}
+	}
+	if bufs.Outcome(0).HasVerify() {
+		t.Error("slot 0 kept the previous batch's verify mark")
 	}
 }

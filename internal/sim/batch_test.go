@@ -13,8 +13,8 @@ import (
 	"lvm/internal/workload"
 )
 
-// batchSizes spans the scalar path (1), a partial chunk (8), and the
-// default (64); 7 exercises chunks that never align with anything.
+// batchSizes spans chunks of one (1), a partial chunk (8), and the default
+// (64); 7 exercises chunks that never align with anything.
 var batchSizes = []int{1, 7, 8, 64}
 
 // runWithBatch builds a fresh system+CPU and runs the whole trace at the
@@ -28,7 +28,7 @@ func runWithBatch(t *testing.T, scheme oskernel.Scheme, thp bool, p workload.Par
 
 // TestBatchBitIdentity is the pipeline's core contract: every batch size
 // produces a Result — scalar counters, float cycle sums, and the full
-// component metric snapshot — deeply equal to the scalar path's.
+// component metric snapshot — deeply equal to chunks of one.
 func TestBatchBitIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-trace comparison across batch sizes is slow under -short")
@@ -40,7 +40,7 @@ func TestBatchBitIdentity(t *testing.T) {
 			for _, batch := range batchSizes[1:] {
 				got := runWithBatch(t, scheme, false, p, batch)
 				if !reflect.DeepEqual(want, got) {
-					t.Errorf("batch %d diverges from scalar: scalar %+v, batch %+v", batch, want, got)
+					t.Errorf("batch %d diverges from batch 1: batch 1 %+v, batch %d %+v", batch, want, batch, got)
 				}
 			}
 		})
@@ -94,7 +94,7 @@ func TestWarmStartEquivalence(t *testing.T) {
 
 // TestRunIntervalsBatchBoundaries locks the interval windows in place when
 // chunks straddle a cut: an `every` that is not a multiple of the batch
-// size must yield the scalar path's exact interval deltas.
+// size must yield the exact interval deltas of chunks of one.
 func TestRunIntervalsBatchBoundaries(t *testing.T) {
 	p := hitParams()
 	const every = 777 // deliberately co-prime with every batch size used
@@ -106,19 +106,20 @@ func TestRunIntervalsBatchBoundaries(t *testing.T) {
 		cpuB.cfg.BatchSize = batch
 		gotRes, gotIv := cpuB.RunIntervals(1, w, every)
 		if !reflect.DeepEqual(wantRes, gotRes) {
-			t.Errorf("batch %d: interval-run Result diverges from scalar", batch)
+			t.Errorf("batch %d: interval-run Result diverges from batch 1", batch)
 		}
 		if !reflect.DeepEqual(wantIv, gotIv) {
-			t.Errorf("batch %d: interval windows diverge from scalar (%d vs %d intervals)",
+			t.Errorf("batch %d: interval windows diverge from batch 1 (%d vs %d intervals)",
 				batch, len(wantIv), len(gotIv))
 		}
 	}
 }
 
-// TestRunTailBatchIdentity checks the per-access latency stream: the batch
-// retire phase must hand the tail study the exact float the scalar step
-// returns for every access. (A non-nil hook forces the scalar path, so the
-// comparison uses the hook-free form.)
+// TestRunTailBatchIdentity checks the per-access latency stream: at every
+// batch size the retire phase must hand the tail study the exact float a
+// chunk of one produces for every access. (A non-nil hook forces chunks of
+// one whatever the batch size, so the comparison uses the hook-free form;
+// TestRunTailChurnPinned covers the hooked path.)
 func TestRunTailBatchIdentity(t *testing.T) {
 	p := hitParams()
 	cpuA, _, w := benchCPU(t, oskernel.SchemeLVM, false, p)
@@ -129,16 +130,16 @@ func TestRunTailBatchIdentity(t *testing.T) {
 		cpuB.cfg.BatchSize = batch
 		gotRes, gotLat := cpuB.RunTail(1, w, nil)
 		if !reflect.DeepEqual(wantRes, gotRes) {
-			t.Errorf("batch %d: tail-run Result diverges from scalar", batch)
+			t.Errorf("batch %d: tail-run Result diverges from batch 1", batch)
 		}
 		if !reflect.DeepEqual(wantLat, gotLat) {
-			t.Errorf("batch %d: latency stream diverges from scalar", batch)
+			t.Errorf("batch %d: latency stream diverges from batch 1", batch)
 		}
 	}
 }
 
-// TestTranslateBatchZeroAllocs seals the batch pipeline the way
-// TestStepZeroAllocs seals the scalar path: after the scratch grows to its
+// TestTranslateBatchZeroAllocs seals full-size chunks the way
+// TestStepZeroAllocs seals chunks of one: after the scratch grows to its
 // steady-state footprint, a chunk must not touch the heap for any scheme.
 func TestTranslateBatchZeroAllocs(t *testing.T) {
 	if testing.Short() {
@@ -147,9 +148,6 @@ func TestTranslateBatchZeroAllocs(t *testing.T) {
 	for _, scheme := range oskernel.AllSchemes() {
 		t.Run(string(scheme), func(t *testing.T) {
 			cpu, _, w := benchCPU(t, scheme, false, benchParams())
-			if cpu.cfg.Midgard || cpu.bw == nil || cpu.lk == nil {
-				t.Skipf("%s does not take the batch pipeline", scheme)
-			}
 			var res Result
 			instrs := w.InstrsPerAccess
 			// Two warm passes: grow scratch and LRU slabs, then prove they
@@ -197,17 +195,13 @@ func TestFastForwardZeroAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkStepBatch is BenchmarkStep through the batch pipeline: cost per
-// access at each chunk size (batch64 against BenchmarkStep is the
-// amortization headline; batch1 prices the pipeline's dispatch overhead).
+// BenchmarkStepBatch is BenchmarkStep at several chunk sizes: cost per
+// access (batch64 against batch1 is the amortization headline).
 func BenchmarkStepBatch(b *testing.B) {
 	for _, scheme := range oskernel.AllSchemes() {
 		for _, batch := range []int{1, 8, 64} {
 			b.Run(fmt.Sprintf("%s/batch%d", scheme, batch), func(b *testing.B) {
 				cpu, _, w := benchCPU(b, scheme, false, benchParams())
-				if cpu.cfg.Midgard || cpu.bw == nil || cpu.lk == nil {
-					b.Skipf("%s does not take the batch pipeline", scheme)
-				}
 				var res Result
 				instrs := w.InstrsPerAccess
 				cpu.Run(1, w) // warm structures and scratch
@@ -232,8 +226,8 @@ func BenchmarkStepBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkFastForward prices one warmup access per scheme — the point of
-// the functional mode is that this is well below the timing step's cost.
+// BenchmarkFastForward prices one warmup access per scheme: the timing
+// pipeline with its accounting discarded.
 func BenchmarkFastForward(b *testing.B) {
 	for _, scheme := range oskernel.AllSchemes() {
 		b.Run(string(scheme), func(b *testing.B) {

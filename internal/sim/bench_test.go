@@ -1,9 +1,9 @@
 // Microbenchmarks and allocation guards for the steady-state
 // translate-then-access hot path. Every figure in the evaluation is
-// produced by replaying millions of accesses through CPU.step, so sweep
-// throughput is bounded by this loop; the benchmarks here pin its cost per
-// scheme and the alloc tests assert it stays off the garbage collector
-// entirely (see EXPERIMENTS.md "Profiling the hot path").
+// produced by replaying millions of accesses through the translation
+// pipeline, so sweep throughput is bounded by it; the benchmarks here pin
+// its cost per scheme and the alloc tests assert it stays off the garbage
+// collector entirely (see EXPERIMENTS.md "Profiling the hot path").
 package sim
 
 import (
@@ -50,24 +50,31 @@ func benchCPU(tb testing.TB, scheme oskernel.Scheme, thp bool, p workload.Params
 	return New(cfg, sys.Walker()), sys, w
 }
 
+// stepOne runs access i (mod the trace length) through the pipeline as a
+// chunk of one — the tail study's and Midgard's granularity.
+func stepOne(cpu *CPU, w *workload.Workload, i int, res *Result) {
+	i %= len(w.Accesses)
+	cpu.TranslateBatch(1, w.Window(i, i+1), w.InstrsPerAccess, res, nil)
+}
+
 // BenchmarkStep measures one access through the full machine model — TLBs,
-// page walk on a miss, cache hierarchy, data access — per scheme. With the
-// walker-owned walk buffers this must report 0 allocs/op in steady state;
-// TestStepZeroAllocs enforces that, this benchmark tracks the cycles.
+// page walk on a miss, cache hierarchy, data access — per scheme, as a
+// chunk of one. With the walker-owned walk buffers this must report 0
+// allocs/op in steady state; TestStepZeroAllocs enforces that, this
+// benchmark tracks the cycles.
 func BenchmarkStep(b *testing.B) {
 	for _, scheme := range oskernel.AllSchemes() {
 		b.Run(string(scheme), func(b *testing.B) {
 			cpu, _, w := benchCPU(b, scheme, false, benchParams())
 			var res Result
-			instrs := w.InstrsPerAccess
 			// Warm the structures (TLB/cache/PWC fill, buffer growth).
-			for _, a := range w.Accesses {
-				cpu.step(1, a, instrs, 0, &res)
+			for i := range w.Accesses {
+				stepOne(cpu, w, i, &res)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				cpu.step(1, w.Accesses[i%len(w.Accesses)], instrs, 0, &res)
+				stepOne(cpu, w, i, &res)
 			}
 		})
 	}
@@ -81,8 +88,8 @@ func BenchmarkWalk(b *testing.B) {
 			cpu, sys, w := benchCPU(b, scheme, false, benchParams())
 			walker := sys.Walker()
 			var res Result
-			for _, a := range w.Accesses {
-				cpu.step(1, a, w.InstrsPerAccess, 0, &res)
+			for i := range w.Accesses {
+				stepOne(cpu, w, i, &res)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -98,8 +105,8 @@ func BenchmarkWalk(b *testing.B) {
 }
 
 // TestStepZeroAllocs is the regression guard for the zero-allocation hot
-// path: after warmup, a steady-state step must not touch the heap for any
-// scheme, page size, or hit/miss mix. A failure here means a walk path
+// path: after warmup, a steady-state chunk of one access must not touch the
+// heap for any scheme, page size, or hit/miss mix. A failure here means a walk path
 // regained a per-walk allocation (fresh trace slices, map growth, escaping
 // closures) and sweep throughput will decay with walk count again.
 func TestStepZeroAllocs(t *testing.T) {
@@ -120,18 +127,17 @@ func TestStepZeroAllocs(t *testing.T) {
 			t.Run(string(scheme)+"/"+tc.name, func(t *testing.T) {
 				cpu, _, w := benchCPU(t, scheme, tc.thp, tc.p)
 				var res Result
-				instrs := w.InstrsPerAccess
 				// Two warmup passes: the first grows the walk buffers and
 				// LRU maps to their steady-state footprint, the second
 				// proves they stopped growing.
 				for pass := 0; pass < 2; pass++ {
-					for _, a := range w.Accesses {
-						cpu.step(1, a, instrs, 0, &res)
+					for i := range w.Accesses {
+						stepOne(cpu, w, i, &res)
 					}
 				}
 				i := 0
 				allocs := testing.AllocsPerRun(len(w.Accesses), func() {
-					cpu.step(1, w.Accesses[i%len(w.Accesses)], instrs, 0, &res)
+					stepOne(cpu, w, i, &res)
 					i++
 				})
 				if allocs != 0 {

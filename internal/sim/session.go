@@ -26,7 +26,10 @@ type Session struct {
 	pos    int
 	// lats, when non-nil, receives access i's end-to-end latency at
 	// lats[i-start]; it must have length len(trace)-start.
-	lats     []float64
+	lats []float64
+	// extra is cycles charged to the next access Step runs, right after
+	// its retire component, then cleared (RunTail's per-access OS work).
+	extra    float64
 	finished bool
 	stream   bool
 }
@@ -122,25 +125,14 @@ func (s *Session) Step(n int) int {
 		return 0
 	}
 	batch := c.batchSize()
-	if c.cfg.Midgard || batch <= 1 || c.bw == nil || c.lk == nil {
-		for ; s.pos < limit; s.pos++ {
-			lat := c.step(s.asid, tr[s.pos], s.instrs, 0, &s.res)
-			if s.lats != nil {
-				s.lats[s.pos-s.start] = lat
-			}
-		}
-		return consumed
-	}
 	for s.pos < limit {
-		end := s.pos + batch
-		if end > limit {
-			end = limit
-		}
+		end := min(s.pos+batch, limit)
 		var lats []float64
 		if s.lats != nil {
 			lats = s.lats[s.pos-s.start : end-s.start]
 		}
-		c.TranslateBatch(s.asid, tr[s.pos:end:end], s.instrs, &s.res, lats)
+		c.translateChunk(s.asid, tr[s.pos:end:end], s.instrs, s.extra, &s.res, lats)
+		s.extra = 0
 		s.pos = end
 	}
 	return consumed

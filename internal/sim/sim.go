@@ -42,9 +42,10 @@ type Config struct {
 	Midgard bool
 	// BatchSize is the translation pipeline's chunk size — a pure
 	// performance knob: every value produces bit-identical Results and
-	// metrics (test-enforced). 0 means DefaultBatchSize; 1 forces the
-	// scalar per-access path. Excluded from JSON (and therefore from the
-	// experiment config fingerprint) because it cannot change any output.
+	// metrics (test-enforced). 0 means DefaultBatchSize; 1 runs the same
+	// pipeline in chunks of one access. Excluded from JSON (and therefore
+	// from the experiment config fingerprint) because it cannot change any
+	// output.
 	BatchSize int `json:"-"`
 }
 
@@ -160,12 +161,9 @@ type CPU struct {
 	cfg    Config
 	tlbs   *tlb.Hierarchy
 	caches *cache.Hierarchy
-	walker mmu.Walker
-	// bw/lk are the walker's batch seam, nil when it only implements the
-	// scalar Walk (the pipeline needs both: lk resolves misses functionally
-	// so the TLB can fill in arrival order, bw replays the timing walks).
-	bw mmu.BatchWalker
-	lk mmu.Lookuper
+	// walker resolves TLB misses functionally (Lookup) so the TLB can fill
+	// in arrival order, then replays the timing walks (WalkBatch).
+	walker mmu.BatchWalker
 
 	batch batchState
 }
@@ -181,7 +179,6 @@ type batchState struct {
 // phase.
 type accessRec struct {
 	va     addr.VA
-	vpn    addr.VPN
 	entry  pte.Entry
 	tlbLat int
 	slot   int32
@@ -191,17 +188,14 @@ type accessRec struct {
 }
 
 // New creates a core bound to a scheme walker.
-func New(cfg Config, walker mmu.Walker) *CPU {
+func New(cfg Config, walker mmu.BatchWalker) *CPU {
 	cfg = cfg.withTLBDefaults()
-	c := &CPU{
+	return &CPU{
 		cfg:    cfg,
 		tlbs:   tlb.NewHierarchySized(cfg.TLBL1Small, cfg.TLBL1Huge, cfg.TLBL2, cfg.TLBL2Huge),
 		caches: cache.New(cfg.Cache, dram.New(cfg.DRAM)),
 		walker: walker,
 	}
-	c.bw, _ = walker.(mmu.BatchWalker)
-	c.lk, _ = walker.(mmu.Lookuper)
-	return c
 }
 
 // batchSize resolves the configured chunk size.
@@ -248,50 +242,6 @@ func (c *CPU) walkLatency(out mmu.Outcome) (critical, verify float64) {
 	return critical, verify
 }
 
-// translate charges the TLB lookup and, on an L2 TLB miss, the hardware
-// page walk — the translation accounting shared by step and stepMidgard.
-// Cycle components accrue onto res and *lat in arrival order (so latency
-// sums stay bit-identical wherever they are accumulated); it returns the
-// translation, the walk's pending verify latency (the overlappable suffix,
-// zero for non-speculative schemes — the caller charges its exposed excess
-// over the data access), and whether the access faulted on an unmapped
-// page. A faulting walk has nothing to overlap with, so its verify suffix
-// is charged here in full.
-func (c *CPU) translate(asid uint16, v addr.VPN, res *Result, lat *float64) (pte.Entry, float64, bool) {
-	tr, hit := c.tlbs.Lookup(asid, v)
-	res.TLBCycles += float64(tr.Latency)
-	res.Cycles += float64(tr.Latency)
-	*lat += float64(tr.Latency)
-	entry := tr.Entry
-	verify := 0.0
-	if !hit {
-		res.L2TLBMisses++
-		out := c.walker.Walk(asid, v)
-		res.Walks++
-		res.WalkRefs += uint64(out.Refs())
-		wlat, wver := c.walkLatency(out)
-		res.WalkCycles += wlat
-		res.Cycles += wlat
-		*lat += wlat
-		if !out.Found {
-			if wver != 0 {
-				res.WalkCycles += wver
-				res.Cycles += wver
-				*lat += wver
-			}
-			res.Faults++
-			return 0, 0, true
-		}
-		verify = wver
-		entry = out.Entry
-		c.tlbs.Fill(asid, v, entry)
-	}
-	if !tr.HitL1 {
-		res.L1TLBMisses++
-	}
-	return entry, verify, false
-}
-
 // Run simulates a trace for one process (ASID) and returns the metrics.
 func (c *CPU) Run(asid uint16, w *workload.Workload) Result {
 	return c.run(asid, w, runOpts{})
@@ -313,17 +263,15 @@ func (c *CPU) RunFrom(asid uint16, w *workload.Workload, start int) Result {
 }
 
 // runOpts selects run's optional behaviours; the zero value is a plain
-// full-trace run. It replaces the hook/obs closure pair the step
-// unification left behind: latency observation and interval cuts are part
-// of the loop itself now, so the batch retire path can feed them directly.
+// full-trace run.
 type runOpts struct {
 	// start is the first access index simulated (the measured region is
 	// [start, len(Accesses))). When start > 0, finish reports component
 	// counters as deltas over the run.
 	start int
 	// hook injects per-access extra cycles (OS work). A non-nil hook can
-	// mutate OS state between accesses, which would invalidate recorded
-	// walk plans — so it forces the scalar path.
+	// mutate OS state between accesses, so the run proceeds in chunks of
+	// one access and the hook runs before each.
 	hook func(i int) float64
 	// lats, when non-nil, receives access i's end-to-end latency at
 	// lats[i-start]; it must have length len(Accesses)-start.
@@ -338,33 +286,18 @@ type runOpts struct {
 // run is the single translation loop behind Run, RunFrom, RunTail and
 // RunIntervals, implemented over the resumable Session: the trace is
 // consumed in Step chunks clamped to interval boundaries so a batch never
-// straddles a cut. Per-access hooks can mutate OS state between accesses
-// (invalidating recorded walk plans), so the hook path keeps its dedicated
-// scalar loop; all paths produce bit-identical Results.
+// straddles a cut.
 func (c *CPU) run(asid uint16, w *workload.Workload, o runOpts) Result {
-	if o.hook != nil {
-		res := Result{Workload: w.Name, Scheme: c.walker.Name()}
-		var base metrics.Set
-		if o.start > 0 {
-			base = c.Snapshot()
-		}
-		instrs := w.InstrsPerAccess
-		for i := o.start; i < len(w.Accesses); i++ {
-			lat := c.step(asid, w.Accesses[i], instrs, o.hook(i), &res)
-			if o.lats != nil {
-				o.lats[i-o.start] = lat
-			}
-			if o.every > 0 && (i+1)%o.every == 0 {
-				o.cut(i + 1)
-			}
-		}
-		c.finish(&res, base, o.start > 0)
-		return res
-	}
 	s := c.NewSessionFrom(asid, w, o.start)
 	s.lats = o.lats
 	for !s.Done() {
 		limit := s.Remaining()
+		if o.hook != nil {
+			// The hook may mutate OS state, so it runs before each access
+			// and the access runs as a chunk of one.
+			limit = 1
+			s.extra = o.hook(s.pos)
+		}
 		if o.every > 0 {
 			// Clamp the step to the next interval boundary so a batch never
 			// straddles a cut and window contents cannot shift.
@@ -382,13 +315,14 @@ func (c *CPU) run(asid uint16, w *workload.Workload, o runOpts) Result {
 
 // prepareBatch runs the pipeline's functional and timing-walk phases over
 // one chunk. Phase T, per access in arrival order: probe the TLB; on an L2
-// miss resolve the translation functionally (mmu.Lookuper) and fill the
-// TLB, so later accesses to the same page hit exactly as they would in the
-// scalar loop. Phase W: one WalkBatch over the misses replays the recorded
+// miss resolve the translation functionally (Lookup) and fill the TLB, so
+// later accesses to the same page hit exactly as they would one access at
+// a time. Phase W: one WalkBatch over the misses replays the recorded
 // plans — walk-cache state and request traces accrue per miss in arrival
-// order. Each component (TLB, walk caches, cache hierarchy) sees exactly
-// the scalar loop's operation sequence, which is why results stay
-// bit-identical at any batch size.
+// order. The cache hierarchy is touched only in the retire phase, in
+// arrival order. So each component (TLB, walk caches, cache hierarchy)
+// sees the operation sequence of a chunk of one, at any chunk size — the
+// reason results stay bit-identical at every batch size.
 func (c *CPU) prepareBatch(asid uint16, accesses []workload.Access) []accessRec {
 	n := len(accesses)
 	for len(c.batch.recs) < n {
@@ -404,7 +338,6 @@ func (c *CPU) prepareBatch(asid uint16, accesses []workload.Access) []accessRec 
 		r := &recs[k]
 		tr, hit := c.tlbs.Lookup(asid, v)
 		r.va = a.VA
-		r.vpn = v
 		r.entry = tr.Entry
 		r.tlbLat = tr.Latency
 		r.hitL1 = tr.HitL1
@@ -415,7 +348,7 @@ func (c *CPU) prepareBatch(asid uint16, accesses []workload.Access) []accessRec 
 			nmiss++
 			//lint:allow hotalloc miss list grows to the batch size once, then recycles
 			vpns = append(vpns, v)
-			e, found := c.lk.Lookup(asid, v)
+			e, found := c.walker.Lookup(asid, v)
 			r.entry = e
 			r.fault = !found
 			if found {
@@ -425,237 +358,156 @@ func (c *CPU) prepareBatch(asid uint16, accesses []workload.Access) []accessRec 
 	}
 	c.batch.vpns = vpns
 	if nmiss > 0 {
-		c.bw.WalkBatch(asid, vpns, &c.batch.bufs)
+		c.walker.WalkBatch(asid, vpns, &c.batch.bufs)
 	}
 	return recs
 }
 
-// TranslateBatch runs one chunk of accesses through the three-phase
-// translation pipeline and charges the existing accounting in arrival
-// order. Phase R (retire), per access: the same float accruals, in the
-// same per-accumulator order, as the scalar step — retire, TLB latency,
-// walk latency (charging the walk's memory requests to the caches), data
-// access — so tail-study latencies and every cycle sum stay bit-identical.
-// lats, when non-nil, receives per-access end-to-end latencies.
+// TranslateBatch runs one chunk of accesses through the translation
+// pipeline and charges the accounting in arrival order; lats, when non-nil,
+// receives per-access end-to-end latencies.
 func (c *CPU) TranslateBatch(asid uint16, accesses []workload.Access, instrs int, res *Result, lats []float64) {
+	c.translateChunk(asid, accesses, instrs, 0, res, lats)
+}
+
+// translateChunk is the one translation pipeline every path runs: Run and
+// its variants, Session.Step, TranslateBatch and FastForward. Phases T and
+// W (prepareBatch) resolve and walk the chunk's TLB misses; phase R
+// (retire), per access: retire, TLB latency, walk latency (charging the
+// walk's memory requests to the caches), data access. extra is hook cycles
+// charged to accesses[0] right after its retire component; hook runs use
+// chunks of one, so each hooked access gets its own. Every accumulator
+// sees one float operation sequence whatever the chunk size, so tail-study
+// latencies and every cycle sum stay bit-identical.
+func (c *CPU) translateChunk(asid uint16, accesses []workload.Access, instrs int, extra float64, res *Result, lats []float64) {
+	if c.cfg.Midgard {
+		c.translateMidgard(asid, accesses, instrs, extra, res, lats)
+		return
+	}
 	recs := c.prepareBatch(asid, accesses)
 	retire := float64(instrs) / c.cfg.IssueWidth
 	for k := range recs {
 		r := &recs[k]
 		res.Instructions += uint64(instrs)
 		res.Accesses++
-		lat := retire
+		lat := retire + extra
 		res.Cycles += retire
-		res.TLBCycles += float64(r.tlbLat)
-		res.Cycles += float64(r.tlbLat)
-		lat += float64(r.tlbLat)
-		verify := 0.0
-		if r.miss {
-			res.L2TLBMisses++
-			out := c.batch.bufs.Outcome(int(r.slot))
-			res.Walks++
-			res.WalkRefs += uint64(out.Refs())
-			wlat, wver := c.walkLatency(out)
-			res.WalkCycles += wlat
-			res.Cycles += wlat
-			lat += wlat
-			if r.fault {
-				// A faulting walk has no data access to overlap with.
-				if wver != 0 {
-					res.WalkCycles += wver
-					res.Cycles += wver
-					lat += wver
-				}
-				res.Faults++
-				if lats != nil {
-					lats[k] = lat
-				}
-				continue
+		res.Cycles += extra
+		extra = 0
+		if verify, fault := c.chargeTranslation(r, res, &lat); !fault {
+			// Data access, overlapped with the walk's verify suffix: the
+			// access proceeds on the speculative translation while the
+			// verify walk runs, so the pair costs max(verify, access) — only
+			// the suffix's excess over the exposed data latency is charged,
+			// as walk cycles. Non-speculative schemes have verify == 0 and
+			// take no extra float operations here.
+			pa := addr.Translate(r.va, r.entry.PPN(), r.entry.Size())
+			dataLat := float64(c.caches.Access(pa, false)) * (1 - c.cfg.DataOverlap)
+			if verify > dataLat {
+				exposed := verify - dataLat
+				res.WalkCycles += exposed
+				res.Cycles += exposed
+				lat += exposed
 			}
-			verify = wver
+			res.Cycles += dataLat
+			lat += dataLat
 		}
-		if !r.hitL1 {
-			res.L1TLBMisses++
-		}
-		pa := addr.Translate(r.va, r.entry.PPN(), r.entry.Size())
-		dataLat := float64(c.caches.Access(pa, false)) * (1 - c.cfg.DataOverlap)
-		// Verify-overlap: same accounting as step — only the suffix's excess
-		// over the exposed data latency is charged (zero extra float ops for
-		// non-speculative schemes).
-		if verify > dataLat {
-			exposed := verify - dataLat
-			res.WalkCycles += exposed
-			res.Cycles += exposed
-			lat += exposed
-		}
-		res.Cycles += dataLat
-		lat += dataLat
 		if lats != nil {
 			lats[k] = lat
 		}
 	}
 }
 
+// translateMidgard is the pipeline under the §7.5.2 Midgard model: the
+// cache hierarchy is indexed by the intermediate (virtual) address, so a
+// hit needs no translation at all. Only an LLC miss translates, to reach
+// memory: its VPN goes through prepareBatch as a chunk of one, with the
+// same walk accounting as any other miss. The data latency and the
+// translation accrue into their own sum, added to the retire component
+// last.
+func (c *CPU) translateMidgard(asid uint16, accesses []workload.Access, instrs int, extra float64, res *Result, lats []float64) {
+	retire := float64(instrs) / c.cfg.IssueWidth
+	for k := range accesses {
+		res.Instructions += uint64(instrs)
+		res.Accesses++
+		lat := retire + extra
+		res.Cycles += retire
+		res.Cycles += extra
+		extra = 0
+		// VMA-level Midgard translation is a handful of registers: free.
+		//lint:allow addrtypes Midgard's cache hierarchy is indexed by the intermediate (virtual) address, so the VA bits are reinterpreted as the cache key on purpose
+		raw := c.caches.Access(addr.PA(accesses[k].VA), false)
+		dataLat := float64(raw) * (1 - c.cfg.DataOverlap)
+		res.Cycles += dataLat
+		mlat := dataLat
+		if raw > c.cfg.Cache.L3.LatencyCycles {
+			// The data access already completed, so a verify suffix has
+			// nothing to overlap with: charge it in full.
+			r := &c.prepareBatch(asid, accesses[k:k+1])[0]
+			if verify, _ := c.chargeTranslation(r, res, &mlat); verify != 0 {
+				res.WalkCycles += verify
+				res.Cycles += verify
+				mlat += verify
+			}
+		}
+		lat += mlat
+		if lats != nil {
+			lats[k] = lat
+		}
+	}
+}
+
+// chargeTranslation charges r's TLB latency and, on an L2 TLB miss, its
+// walk (whose memory requests go to the caches) onto res and *lat, in that
+// order. It returns the walk's pending verify latency (the overlappable
+// suffix, zero for non-speculative schemes) and whether the access faulted
+// on an unmapped page. A faulting walk has nothing to overlap with, so its
+// verify suffix is charged here in full.
+func (c *CPU) chargeTranslation(r *accessRec, res *Result, lat *float64) (verify float64, fault bool) {
+	res.TLBCycles += float64(r.tlbLat)
+	res.Cycles += float64(r.tlbLat)
+	*lat += float64(r.tlbLat)
+	if r.miss {
+		res.L2TLBMisses++
+		out := c.batch.bufs.Outcome(int(r.slot))
+		res.Walks++
+		res.WalkRefs += uint64(out.Refs())
+		wlat, wver := c.walkLatency(out)
+		res.WalkCycles += wlat
+		res.Cycles += wlat
+		*lat += wlat
+		if r.fault {
+			if wver != 0 {
+				res.WalkCycles += wver
+				res.Cycles += wver
+				*lat += wver
+			}
+			res.Faults++
+			return 0, true
+		}
+		verify = wver
+	}
+	if !r.hitL1 {
+		res.L1TLBMisses++
+	}
+	return verify, false
+}
+
 // FastForward streams the first n accesses of the trace through the
 // machine's functional state — TLBs, walk caches, cache tags, DRAM rows —
-// with no latency accounting and no Result: component state afterwards is
-// exactly what a timing run over the same prefix leaves behind, at a
-// fraction of the cost. It returns the number of accesses consumed
-// (min(n, len(trace))); follow with RunFrom to measure from warmed state.
+// and returns no Result: it is the timing pipeline with its accounting
+// discarded, so component state afterwards is exactly what a timing run
+// over the same prefix leaves behind. It returns the number of accesses
+// consumed (min(n, len(trace))); follow with RunFrom to measure from
+// warmed state.
 func (c *CPU) FastForward(asid uint16, w *workload.Workload, n int) int {
-	if n > len(w.Accesses) {
-		n = len(w.Accesses)
-	}
-	if n <= 0 {
-		return 0
-	}
+	n = max(min(n, len(w.Accesses)), 0)
+	var discard Result
 	batch := c.batchSize()
-	if c.cfg.Midgard || batch <= 1 || c.bw == nil || c.lk == nil {
-		for i := 0; i < n; i++ {
-			c.forwardStep(asid, w.Accesses[i])
-		}
-		return n
-	}
-	for i := 0; i < n; {
-		end := i + batch
-		if end > n {
-			end = n
-		}
-		recs := c.prepareBatch(asid, w.Window(i, end))
-		for k := range recs {
-			r := &recs[k]
-			if r.miss {
-				out := c.batch.bufs.Outcome(int(r.slot))
-				for gi, groups := 0, out.NumGroups(); gi < groups; gi++ {
-					for _, pa := range out.Group(gi) {
-						c.caches.Access(pa, true)
-					}
-				}
-				if r.fault {
-					continue
-				}
-			}
-			pa := addr.Translate(r.va, r.entry.PPN(), r.entry.Size())
-			c.caches.Access(pa, false)
-		}
-		i = end
+	for i := 0; i < n; i += batch {
+		c.translateChunk(asid, w.Window(i, min(i+batch, n)), w.InstrsPerAccess, 0, &discard, nil)
 	}
 	return n
-}
-
-// forwardStep is FastForward's scalar fallback (Midgard, batch size 1, or
-// walkers without the batch seam): the state operations of step, none of
-// the accounting.
-func (c *CPU) forwardStep(asid uint16, a workload.Access) {
-	v := addr.VPNOf(a.VA)
-	if c.cfg.Midgard {
-		//lint:allow addrtypes Midgard's cache hierarchy is indexed by the intermediate (virtual) address, so the VA bits are reinterpreted as the cache key on purpose
-		raw := c.caches.Access(addr.PA(a.VA), false)
-		if raw > c.cfg.Cache.L3.LatencyCycles {
-			c.forwardTranslate(asid, v)
-		}
-		return
-	}
-	entry, ok := c.forwardTranslate(asid, v)
-	if !ok {
-		return
-	}
-	pa := addr.Translate(a.VA, entry.PPN(), entry.Size())
-	c.caches.Access(pa, false)
-}
-
-// forwardTranslate performs translate's state operations — TLB probe, the
-// walk with its memory requests charged to the caches, the TLB fill —
-// without accounting. Returns the entry and whether the page is mapped.
-// Verify-region requests are state operations like any other (the verify
-// walk really touches the caches; only its latency overlaps), so the loop
-// below deliberately spans critical and verify groups alike.
-func (c *CPU) forwardTranslate(asid uint16, v addr.VPN) (pte.Entry, bool) {
-	tr, hit := c.tlbs.Lookup(asid, v)
-	if hit {
-		return tr.Entry, true
-	}
-	out := c.walker.Walk(asid, v)
-	for gi, groups := 0, out.NumGroups(); gi < groups; gi++ {
-		for _, pa := range out.Group(gi) {
-			c.caches.Access(pa, true)
-		}
-	}
-	if !out.Found {
-		return 0, false
-	}
-	c.tlbs.Fill(asid, v, out.Entry)
-	return out.Entry, true
-}
-
-// step runs one access through the machine model — the per-access
-// translate-then-access sequence shared by every access path. Each cycle
-// component is charged to res.Cycles as it accrues; the return value is
-// the access's end-to-end latency (the same components summed in accrual
-// order), which the tail study consumes per request.
-func (c *CPU) step(asid uint16, a workload.Access, instrs int, extra float64, res *Result) float64 {
-	res.Instructions += uint64(instrs)
-	res.Accesses++
-	retire := float64(instrs) / c.cfg.IssueWidth
-	lat := retire + extra
-	res.Cycles += retire
-	res.Cycles += extra
-
-	v := addr.VPNOf(a.VA)
-
-	if c.cfg.Midgard {
-		return lat + c.stepMidgard(asid, a, v, res)
-	}
-
-	// 1. TLB, and on an L2 TLB miss 2. the page walk.
-	entry, verify, fault := c.translate(asid, v, res, &lat)
-	if fault {
-		return lat
-	}
-
-	// 3. Data access, overlapped with the walk's verify suffix: the access
-	// proceeds on the speculative translation while the verify walk runs, so
-	// the pair costs max(verify, access) — only the suffix's excess over the
-	// exposed data latency is charged, as walk cycles. Non-speculative
-	// schemes have verify == 0 and take no extra float operations here.
-	pa := addr.Translate(a.VA, entry.PPN(), entry.Size())
-	dataLat := float64(c.caches.Access(pa, false)) * (1 - c.cfg.DataOverlap)
-	if verify > dataLat {
-		exposed := verify - dataLat
-		res.WalkCycles += exposed
-		res.Cycles += exposed
-		lat += exposed
-	}
-	res.Cycles += dataLat
-	return lat + dataLat
-}
-
-// stepMidgard handles one access in the Midgard model: the cache hierarchy
-// is indexed by the intermediate (virtual) address, so hits need no
-// translation at all; only LLC misses trigger a radix walk to reach DRAM.
-// It returns the latency charged beyond the instruction-retire component.
-func (c *CPU) stepMidgard(asid uint16, a workload.Access, v addr.VPN, res *Result) float64 {
-	// VMA-level Midgard translation is a handful of registers: free.
-	//lint:allow addrtypes Midgard's cache hierarchy is indexed by the intermediate (virtual) address, so the VA bits are reinterpreted as the cache key on purpose
-	raw := c.caches.Access(addr.PA(a.VA), false)
-	llcMiss := raw > c.cfg.Cache.L3.LatencyCycles
-	dataLat := float64(raw) * (1 - c.cfg.DataOverlap)
-	res.Cycles += dataLat
-	lat := dataLat
-	if !llcMiss {
-		return lat
-	}
-	// LLC miss: translate to reach memory (backside radix walk). The data
-	// access already completed, so a verify suffix would have nothing to
-	// overlap with — charge it in full (radix walks never carry one; verify
-	// stays zero on this path today).
-	_, verify, _ := c.translate(asid, v, res, &lat)
-	if verify != 0 {
-		res.WalkCycles += verify
-		res.Cycles += verify
-		lat += verify
-	}
-	return lat
 }
 
 // Snapshot implements metrics.Source: the uniform component snapshot of
