@@ -158,7 +158,7 @@ func main() {
 
 // drive runs one tenant session on its own connection and measures it.
 func drive(addr string, cfg lvmd.Config, open lvmd.OpenRequest) sessionOutcome {
-	c, err := lvmd.DialRetry(addr, cfg, 0, 0)
+	c, err := lvmd.DialRetry(addr, cfg)
 	if err != nil {
 		return sessionOutcome{err: err}
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"lvm/internal/experiments"
+	"lvm/internal/wire"
 )
 
 // Options bounds a coordinator.
@@ -52,7 +53,7 @@ type runState struct {
 type workerConn struct {
 	name     string
 	remote   string
-	w        *wire
+	w        *wire.Conn
 	capacity int
 	budget   uint64
 	used     uint64 // summed charges of running
@@ -77,7 +78,6 @@ type coordinator struct {
 	remaining int  // guarded by mu
 	finished  bool // guarded by mu
 	err       error
-	wg        sync.WaitGroup
 }
 
 // Serve runs a sweep coordinator on ln until every run in p has an
@@ -139,20 +139,13 @@ func Serve(ln net.Listener, r *experiments.Runner, p experiments.Plan, opt Optio
 		return nil
 	}
 
-	c.wg.Add(1)
+	var srv wire.Server
+	served := make(chan struct{})
 	go func() {
-		defer c.wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return // listener closed
-			}
-			c.wg.Add(1)
-			go func() {
-				defer c.wg.Done()
-				c.handle(conn)
-			}()
-		}
+		defer close(served)
+		// An accept failure ends only the intake; workers already
+		// connected still finish the sweep.
+		srv.Serve(ln, c.handle)
 	}()
 
 	c.mu.Lock()
@@ -163,44 +156,41 @@ func Serve(ln net.Listener, r *experiments.Runner, p experiments.Plan, opt Optio
 	live := append([]*workerConn(nil), c.workers...)
 	c.mu.Unlock()
 
-	ln.Close()
-	for _, wc := range live {
-		if err == nil {
+	if err == nil {
+		for _, wc := range live {
 			// Best-effort: the frame lands before the close, so a healthy
 			// worker drains it and exits cleanly.
-			wc.w.send(message{Type: msgShutdown})
+			wc.w.Send(message{Type: msgShutdown})
 		}
-		wc.w.close()
 	}
-	c.wg.Wait()
+	// Close ends every connection, registered or not: a worker that
+	// registers after the snapshot above just sees its connection drop.
+	srv.Close()
+	<-served
 	return err
 }
 
 // handle runs one connection's lifecycle: handshake, then a read loop
 // feeding results in. Install and cache writes happen on this goroutine,
-// inside the coordinator's WaitGroup, so they are complete before Serve
-// returns.
-func (c *coordinator) handle(conn net.Conn) {
-	w := &wire{conn: conn}
-	defer w.close()
-	hello, err := w.recv()
-	if err != nil {
+// which the wire.Server waits for, so they are complete before Serve
+// returns. The hello is vetted exactly like -merge vets shard documents:
+// protocol, schema version, and config fingerprint must all match, or the
+// worker is computing a different sweep.
+func (c *coordinator) handle(w *wire.Conn) {
+	var hello message
+	if err := w.ReadHello(wire.NewHello(experiments.RunJSONSchemaVersion, c.fp), &hello); err != nil {
 		return
 	}
-	if reason := c.vetHello(hello); reason != "" {
-		w.send(message{Type: msgReject, Reason: reason})
-		return
-	}
-	wc := c.register(hello, w, conn)
+	wc := c.register(hello, w)
 	c.os.WorkerConnected(wc.name, wc.remote, wc.capacity)
-	if err := w.send(message{Type: msgWelcome, Worker: wc.name}); err != nil {
+	if err := w.Send(message{Type: wire.TypeWelcome, Worker: wc.name}); err != nil {
 		c.unregister(wc, err)
 		return
 	}
 	c.dispatch()
 	for {
-		m, err := w.recv()
-		if err != nil {
+		var m message
+		if err := w.Recv(&m); err != nil {
 			c.unregister(wc, err)
 			c.dispatch()
 			return
@@ -212,32 +202,13 @@ func (c *coordinator) handle(conn net.Conn) {
 	}
 }
 
-// vetHello mirrors the validation -merge enforces on shard documents:
-// protocol, schema version, and config fingerprint must all match, or the
-// worker is computing a different sweep.
-func (c *coordinator) vetHello(m message) string {
-	if m.Type != msgHello {
-		return fmt.Sprintf("expected hello, got %q", m.Type)
-	}
-	if m.Proto != protocolVersion {
-		return fmt.Sprintf("protocol v%d, want v%d", m.Proto, protocolVersion)
-	}
-	if m.SchemaVersion != experiments.RunJSONSchemaVersion {
-		return fmt.Sprintf("run schema v%d, want v%d", m.SchemaVersion, experiments.RunJSONSchemaVersion)
-	}
-	if m.Fingerprint != c.fp {
-		return fmt.Sprintf("config fingerprint %.12s does not match coordinator (%.12s) — worker running a different sweep config", m.Fingerprint, c.fp)
-	}
-	return ""
-}
-
-func (c *coordinator) register(m message, w *wire, conn net.Conn) *workerConn {
+func (c *coordinator) register(m message, w *wire.Conn) *workerConn {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.nextName++
 	wc := &workerConn{
 		name:     fmt.Sprintf("w%d", c.nextName),
-		remote:   conn.RemoteAddr().String(),
+		remote:   w.RemoteAddr().String(),
 		w:        w,
 		capacity: max(1, m.Capacity),
 		budget:   m.BudgetBytes,
@@ -318,7 +289,7 @@ func (c *coordinator) dispatch() {
 	for _, s := range sends {
 		c.os.RunAssigned(s.key, s.wc.name, s.steal)
 		key := s.key
-		s.wc.w.send(message{Type: msgAssign, Key: &key})
+		s.wc.w.Send(message{Type: msgAssign, Key: &key})
 	}
 }
 

@@ -1,6 +1,7 @@
 // Package orch is the distributed sweep orchestrator: a coordinator
 // (Serve) owns a deduped experiment plan and hands its runs out to worker
-// processes (Worker.Run) over a length-prefixed JSON wire protocol.
+// processes (Worker.Run) over the length-prefixed JSON protocol of
+// internal/wire.
 //
 // The design goal is the same determinism contract the rest of the
 // experiment stack upholds: the coordinator's runner ends up with exactly
@@ -21,47 +22,30 @@
 package orch
 
 import (
-	"encoding/binary"
 	"encoding/json"
-	"fmt"
-	"io"
-	"net"
-	"sync"
 
 	"lvm/internal/experiments"
+	"lvm/internal/wire"
 )
 
-// protocolVersion gates the handshake; a coordinator rejects workers
-// speaking a different frame layout.
-const protocolVersion = 1
-
-// maxMsgBytes bounds one frame. Run outputs are a few hundred KB of JSON;
-// anything near this limit is a corrupt or hostile peer.
-const maxMsgBytes = 64 << 20
-
-type msgType string
-
+// The sweep vocabulary, after the wire handshake.
 const (
-	msgHello    msgType = "hello"    // worker → coordinator: handshake
-	msgWelcome  msgType = "welcome"  // coordinator → worker: handshake accepted
-	msgReject   msgType = "reject"   // coordinator → worker: handshake refused
-	msgAssign   msgType = "assign"   // coordinator → worker: execute Key
-	msgResult   msgType = "result"   // worker → coordinator: Key's output or error
-	msgShutdown msgType = "shutdown" // coordinator → worker: sweep complete
+	msgAssign   wire.Type = "assign"   // coordinator → worker: execute Key
+	msgResult   wire.Type = "result"   // worker → coordinator: Key's output or error
+	msgShutdown wire.Type = "shutdown" // coordinator → worker: sweep complete
 )
 
 // message is the single frame shape of the protocol; which fields are
 // meaningful depends on Type.
 type message struct {
-	Type msgType `json:"type"`
-	// hello fields: the handshake the coordinator vets, mirroring the
-	// validation -merge enforces on shard documents.
-	Proto         int    `json:"proto,omitempty"`
-	SchemaVersion int    `json:"schema_version,omitempty"`
-	Fingerprint   string `json:"fingerprint,omitempty"`
-	Worker        string `json:"worker,omitempty"`
-	Capacity      int    `json:"capacity,omitempty"`
-	BudgetBytes   uint64 `json:"budget_bytes,omitempty"`
+	Type wire.Type `json:"type"`
+	// hello fields: the identity the coordinator vets, mirroring the
+	// validation -merge enforces on shard documents, then the worker's
+	// name and capacity.
+	wire.Hello
+	Worker      string `json:"worker,omitempty"`
+	Capacity    int    `json:"capacity,omitempty"`
+	BudgetBytes uint64 `json:"budget_bytes,omitempty"`
 	// reject field.
 	Reason string `json:"reason,omitempty"`
 	// assign/result fields. Output is the MarshalRunOutput form;
@@ -72,50 +56,6 @@ type message struct {
 	HostSeconds float64             `json:"host_seconds,omitempty"`
 	Error       string              `json:"error,omitempty"`
 }
-
-// wire frames length-prefixed (4-byte big-endian) JSON messages over one
-// connection. Each side runs a single reader loop; sends may come from any
-// goroutine.
-type wire struct {
-	conn net.Conn
-	mu   sync.Mutex // guards writes to conn
-}
-
-func (w *wire) send(m message) error {
-	b, err := json.Marshal(m)
-	if err != nil {
-		return fmt.Errorf("orch: encoding %s: %w", m.Type, err)
-	}
-	frame := make([]byte, 4+len(b))
-	binary.BigEndian.PutUint32(frame, uint32(len(b)))
-	copy(frame[4:], b)
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	_, err = w.conn.Write(frame)
-	return err
-}
-
-func (w *wire) recv() (message, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(w.conn, hdr[:]); err != nil {
-		return message{}, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxMsgBytes {
-		return message{}, fmt.Errorf("orch: frame of %d bytes exceeds limit %d", n, maxMsgBytes)
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(w.conn, b); err != nil {
-		return message{}, err
-	}
-	var m message
-	if err := json.Unmarshal(b, &m); err != nil {
-		return message{}, fmt.Errorf("orch: decoding frame: %w", err)
-	}
-	return m, nil
-}
-
-func (w *wire) close() error { return w.conn.Close() }
 
 // orchSinkOf returns s's OrchSink extension, or a no-op fallback.
 func orchSinkOf(s experiments.Sink) experiments.OrchSink {

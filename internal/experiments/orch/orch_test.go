@@ -2,7 +2,9 @@ package orch
 
 import (
 	"errors"
+	"io"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +14,7 @@ import (
 	"lvm/internal/metrics"
 	"lvm/internal/oskernel"
 	"lvm/internal/sim"
+	"lvm/internal/wire"
 )
 
 // testConfig is a tiny sweep config: the orchestrator tests never simulate
@@ -166,7 +169,6 @@ func newWorker(t *testing.T, cfg experiments.Config, name string, capacity int,
 		Fingerprint: fp,
 		Name:        name,
 		Capacity:    capacity,
-		DialBackoff: 5 * time.Millisecond,
 	}
 }
 
@@ -189,12 +191,21 @@ func TestServeCompletesAndInstalls(t *testing.T) {
 	r.SetSink(sink)
 
 	addr, errc := serveAsync(t, r, plan, Options{Cache: cache})
-	exec := func(k experiments.RunKey) (*experiments.RunOutput, error) { return fakeOut(k, 42), nil }
+	// No run completes before both workers have joined: otherwise one
+	// worker could drain the sweep while the other is still in its
+	// handshake, and that one would see its connection closed.
+	joined := make(chan struct{})
+	exec := func(k experiments.RunKey) (*experiments.RunOutput, error) {
+		<-joined
+		return fakeOut(k, 42), nil
+	}
 	werrs := make(chan error, 2)
 	for _, name := range []string{"alpha", "beta"} {
 		wk := newWorker(t, cfg, name, 2, exec)
 		go func() { werrs <- wk.Run(addr) }()
 	}
+	sink.waitFor(t, "both workers to join", func() bool { return len(sink.joined) == 2 })
+	close(joined)
 
 	if err := <-errc; err != nil {
 		t.Fatalf("Serve: %v", err)
@@ -289,25 +300,19 @@ func TestServeWorkerCrashMidRun(t *testing.T) {
 	addr, errc := serveAsync(t, r, plan, Options{})
 
 	// Raw-protocol crasher: handshake, accept one assignment, drop dead.
-	conn, err := net.Dial("tcp", addr)
+	w, err := wire.Dial(addr, message{
+		Type:   wire.TypeHello,
+		Hello:  wire.NewHello(experiments.RunJSONSchemaVersion, fp),
+		Worker: "crasher", Capacity: 1,
+	})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("handshake: %v", err)
 	}
-	w := &wire{conn: conn}
-	if err := w.send(message{
-		Type: msgHello, Proto: protocolVersion,
-		SchemaVersion: experiments.RunJSONSchemaVersion,
-		Fingerprint:   fp, Worker: "crasher", Capacity: 1,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if m, err := w.recv(); err != nil || m.Type != msgWelcome {
-		t.Fatalf("handshake: %v %v", m.Type, err)
-	}
-	if m, err := w.recv(); err != nil || m.Type != msgAssign {
+	var m message
+	if err := w.Recv(&m); err != nil || m.Type != msgAssign {
 		t.Fatalf("assignment: %v %v", m.Type, err)
 	}
-	w.close()
+	w.Close()
 	sink.waitFor(t, "crash detection", func() bool { return len(sink.gone) == 1 })
 
 	survivor := newWorker(t, cfg, "survivor", 2,
@@ -502,5 +507,161 @@ func TestServeResumeWarmCache(t *testing.T) {
 		if out.Sim.Cycles != 9 {
 			t.Errorf("run %s: cycles %v, want 9", key, out.Sim.Cycles)
 		}
+	}
+}
+
+// The worker's hello frame is pinned to the bytes the protocol has always
+// sent: moving the framing and the hello identity into internal/wire must
+// not change a byte a deployed coordinator or worker sees.
+func TestHelloFrameBytes(t *testing.T) {
+	a, b := net.Pipe()
+	defer b.Close()
+	go func() {
+		wire.NewConn(a).Send(message{
+			Type:        wire.TypeHello,
+			Hello:       wire.NewHello(2, "0123456789abcdef"),
+			Worker:      "host:42",
+			Capacity:    4,
+			BudgetBytes: 1 << 30,
+		})
+		a.Close()
+	}()
+	got, err := io.ReadAll(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "\x00\x00\x00\x88{\"type\":\"hello\",\"proto\":1,\"schema_version\":2,\"fingerprint\":\"0123456789abcdef\",\"worker\":\"host:42\",\"capacity\":4,\"budget_bytes\":1073741824}"
+	if string(got) != want {
+		t.Errorf("hello frame\n got %q\nwant %q", got, want)
+	}
+}
+
+// waitServe fails the test unless Serve returns within a few seconds.
+func waitServe(t *testing.T, errc chan error) error {
+	t.Helper()
+	select {
+	case err := <-errc:
+		return err
+	case <-time.After(10 * time.Second):
+		t.Fatal("Serve did not return after the sweep completed")
+		return nil
+	}
+}
+
+// A connection that is accepted but never sends hello must not keep Serve
+// from returning once the sweep is done.
+func TestServeReturnsPastSilentConnection(t *testing.T) {
+	cfg := testConfig()
+	plan := testPlan(experiments.RunKey{Workload: "bfs", Scheme: oskernel.SchemeLVM})
+	r := experiments.NewRunner(cfg)
+	r.SetSink(&recorder{})
+	addr, errc := serveAsync(t, r, plan, Options{})
+
+	silent, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	wk := newWorker(t, cfg, "worker", 1,
+		func(k experiments.RunKey) (*experiments.RunOutput, error) { return fakeOut(k, 5), nil })
+	werr := make(chan error, 1)
+	go func() { werr <- wk.Run(addr) }()
+	if err := waitServe(t, errc); err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	if err := <-werr; err != nil {
+		t.Errorf("worker exit: %v", err)
+	}
+	// The coordinator closed the silent connection rather than leaving it.
+	silent.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := silent.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Errorf("silent connection still open after Serve: read %d bytes, err %v", n, err)
+	}
+}
+
+// signalListener reports each accepted connection and its own Close.
+type signalListener struct {
+	net.Listener
+	accepted chan struct{}
+	closed   chan struct{}
+	once     sync.Once
+}
+
+func (l *signalListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted <- struct{}{}
+	}
+	return c, err
+}
+
+func (l *signalListener) Close() error {
+	err := l.Listener.Close()
+	l.once.Do(func() { close(l.closed) })
+	return err
+}
+
+// A worker connected before the sweep ends whose hello only arrives after
+// the coordinator has closed its listener neither hangs Serve nor hangs
+// itself: its Run returns nil or an error. A relay holds the worker's
+// bytes until the listener closes, so the late hello is deterministic.
+func TestServeLateHello(t *testing.T) {
+	cfg := testConfig()
+	plan := testPlan(experiments.RunKey{Workload: "bfs", Scheme: oskernel.SchemeLVM})
+	r := experiments.NewRunner(cfg)
+	r.SetSink(&recorder{})
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := &signalListener{Listener: inner, accepted: make(chan struct{}, 8), closed: make(chan struct{})}
+	errc := make(chan error, 1)
+	go func() { errc <- Serve(ln, r, plan, Options{}) }()
+	exec := func(k experiments.RunKey) (*experiments.RunOutput, error) { return fakeOut(k, 3), nil }
+
+	// The late worker dials a relay whose upstream connection the
+	// coordinator accepts now, before the sweep can finish.
+	up, err := net.Dial("tcp", inner.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-ln.accepted
+	relay, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer relay.Close()
+	late := newWorker(t, cfg, "late", 1, exec)
+	lerr := make(chan error, 1)
+	go func() { lerr <- late.Run(relay.Addr().String()) }()
+	down, err := relay.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer down.Close()
+	defer up.Close()
+	go func() {
+		<-ln.closed
+		io.Copy(up, down) // the hello, released only once the listener is closed
+		up.Close()
+	}()
+	go func() {
+		io.Copy(down, up)
+		down.Close()
+	}()
+
+	wk := newWorker(t, cfg, "prompt", 1, exec)
+	werr := make(chan error, 1)
+	go func() { werr <- wk.Run(inner.Addr().String()) }()
+	if err := waitServe(t, errc); err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	if err := <-werr; err != nil {
+		t.Errorf("prompt worker exit: %v", err)
+	}
+	select {
+	case <-lerr: // nil or an error: either way it returned
+	case <-time.After(10 * time.Second):
+		t.Fatal("late worker's Run never returned")
 	}
 }

@@ -2,11 +2,10 @@ package orch
 
 import (
 	"fmt"
-	"net"
 	"sync"
-	"time"
 
 	"lvm/internal/experiments"
+	"lvm/internal/wire"
 )
 
 // A Worker connects to a coordinator, executes the runs it is assigned,
@@ -27,10 +26,6 @@ type Worker struct {
 	// BudgetBytes advertises the memory budget the coordinator charges
 	// dispatched runs against (0 means experiments.DefaultMemBudgetBytes).
 	BudgetBytes uint64
-	// DialAttempts/DialBackoff retry the initial dial, so workers can be
-	// started before the coordinator is listening (0 means 30 / 200ms).
-	DialAttempts int
-	DialBackoff  time.Duration
 }
 
 // Run dials the coordinator at addr and serves assignments until a clean
@@ -38,55 +33,23 @@ type Worker struct {
 // are always drained before returning, so a result is never abandoned
 // mid-send.
 func (wk *Worker) Run(addr string) error {
-	attempts := wk.DialAttempts
-	if attempts <= 0 {
-		attempts = 30
-	}
-	backoff := wk.DialBackoff
-	if backoff <= 0 {
-		backoff = 200 * time.Millisecond
-	}
-	var conn net.Conn
-	var err error
-	for i := 0; i < attempts; i++ {
-		if conn, err = net.Dial("tcp", addr); err == nil {
-			break
-		}
-		time.Sleep(backoff)
-	}
+	// Retrying lets workers start before the coordinator listens.
+	w, err := wire.DialRetry(addr, message{
+		Type:        wire.TypeHello,
+		Hello:       wire.NewHello(experiments.RunJSONSchemaVersion, wk.Fingerprint),
+		Worker:      wk.Name,
+		Capacity:    wk.Capacity,
+		BudgetBytes: wk.BudgetBytes,
+	})
 	if err != nil {
-		return fmt.Errorf("orch: worker: dialing %s: %w", addr, err)
+		return fmt.Errorf("orch: worker: %w", err)
 	}
-	w := &wire{conn: conn}
-	defer w.close()
-
-	if err := w.send(message{
-		Type:          msgHello,
-		Proto:         protocolVersion,
-		SchemaVersion: experiments.RunJSONSchemaVersion,
-		Fingerprint:   wk.Fingerprint,
-		Worker:        wk.Name,
-		Capacity:      wk.Capacity,
-		BudgetBytes:   wk.BudgetBytes,
-	}); err != nil {
-		return fmt.Errorf("orch: worker: hello: %w", err)
-	}
-	m, err := w.recv()
-	if err != nil {
-		return fmt.Errorf("orch: worker: handshake: %w", err)
-	}
-	switch m.Type {
-	case msgWelcome:
-	case msgReject:
-		return fmt.Errorf("orch: worker: rejected by coordinator: %s", m.Reason)
-	default:
-		return fmt.Errorf("orch: worker: unexpected handshake reply %q", m.Type)
-	}
+	defer w.Close()
 
 	var wg sync.WaitGroup
 	for {
-		m, err := w.recv()
-		if err != nil {
+		var m message
+		if err := w.Recv(&m); err != nil {
 			wg.Wait()
 			return fmt.Errorf("orch: worker: connection lost: %w", err)
 		}
@@ -101,7 +64,7 @@ func (wk *Worker) Run(addr string) error {
 				defer wg.Done()
 				// A failed send is not handled here: the read loop sees
 				// the dead connection and the coordinator requeues.
-				w.send(wk.run(key))
+				w.Send(wk.run(key))
 			}()
 		case msgShutdown:
 			wg.Wait()

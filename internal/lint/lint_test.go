@@ -46,6 +46,17 @@ func TestNonDetermCoversMetrics(t *testing.T) {
 	linttest.Run(t, lint.NonDeterm, "testdata/src/nondeterm", "lvm/internal/metrics")
 }
 
+// internal/wire holds the write mutex, handler goroutines and connection
+// set lvmd and the orchestrator share, so both the map-iteration rule and
+// the concurrency discipline cover it.
+func TestNonDetermCoversWire(t *testing.T) {
+	linttest.Run(t, lint.NonDeterm, "testdata/src/nondeterm", "lvm/internal/wire")
+}
+
+func TestSyncSafeCoversWire(t *testing.T) {
+	linttest.Run(t, lint.SyncSafe, "testdata/src/syncsafe", "lvm/internal/wire")
+}
+
 // TestSuiteScopeCoverage generalizes the point check above: every internal
 // package that imports the simulator core (sim, mmu, or metrics) feeds
 // simulated results, so at least one scoped analyzer must claim it via

@@ -28,6 +28,10 @@ var simPkgs = map[string]bool{
 	// bit-identity contract (served == standalone, byte for byte); a map
 	// range there could reorder session teardown or frame emission.
 	ModulePath + "/internal/lvmd": true,
+	// internal/wire owns the connection set lvmd and the orchestrator tear
+	// down on shutdown; a map range there would make teardown order vary
+	// run to run.
+	ModulePath + "/internal/wire": true,
 }
 
 // inSimScope also matches internal/experiments and every subpackage by

@@ -1,8 +1,9 @@
 package lint
 
 // syncsafe is the concurrency-discipline analyzer for the packages that
-// run goroutines: the experiment pipeline and its scheduler today, the
-// multi-tenant lvmd server on the ROADMAP tomorrow. Three rules:
+// run goroutines: the experiment pipeline with its scheduler and sweep
+// orchestrator, the lvmd translation service, and the wire layer under
+// both. Three rules:
 //
 //  1. no lock copies: a sync.Mutex/RWMutex/WaitGroup/Once/Cond (or any
 //     struct transitively containing one) must not be passed, returned,
@@ -30,6 +31,7 @@ func inSyncSafeScope(path string) bool {
 		ModulePath + "/internal/experiments",
 		ModulePath + "/internal/lvmd",
 		ModulePath + "/cmd/lvmd",
+		ModulePath + "/internal/wire",
 	} {
 		if path == p || strings.HasPrefix(path, p+"/") {
 			return true
@@ -42,8 +44,8 @@ func inSyncSafeScope(path string) bool {
 var SyncSafe = &Analyzer{
 	Name: "syncsafe",
 	Doc: "syncsafe enforces concurrency discipline in the goroutine-running " +
-		"packages (internal/experiments and its scheduler, the future " +
-		"lvmd): no value copies of types containing sync.Mutex/RWMutex/" +
+		"packages (internal/experiments with its scheduler and " +
+		"orchestrator, internal/lvmd and cmd/lvmd, internal/wire): no value copies of types containing sync.Mutex/RWMutex/" +
 		"WaitGroup/Once/Cond (parameters, results, assignments, range " +
 		"variables); no `go` statement without a completion signal " +
 		"(WaitGroup.Done, channel send, or close) tying the goroutine to " +

@@ -3,10 +3,9 @@ package lvmd
 import (
 	"errors"
 	"fmt"
-	"net"
 	"sync"
-	"time"
 
+	"lvm/internal/wire"
 	"lvm/internal/workload"
 )
 
@@ -15,10 +14,8 @@ import (
 // primitives they are built on). Kill may be called from any goroutine to
 // abort the in-flight session; everything else is caller-serialized.
 type Client struct {
-	w       *wire
-	workers int
-	budget  uint64
-	st      SessionStats
+	w  *wire.Conn
+	st SessionStats
 }
 
 // SessionStats reports what admission observed for one session.
@@ -36,79 +33,41 @@ var ErrKilled = errors.New("lvmd: session killed")
 // Dial connects and performs the handshake. cfg must equal the daemon's
 // configuration — the fingerprint exchange enforces it.
 func Dial(addr string, cfg Config) (*Client, error) {
-	return DialRetry(addr, cfg, 1, 0)
+	return dial(addr, cfg, wire.Dial)
 }
 
-// DialRetry dials with retries (for daemons still starting up), then
-// performs the handshake. attempts < 1 means 30, backoff <= 0 means 200ms.
-func DialRetry(addr string, cfg Config, attempts int, backoff time.Duration) (*Client, error) {
-	if attempts < 1 {
-		attempts = 30
-	}
-	if backoff <= 0 {
-		backoff = 200 * time.Millisecond
-	}
+// DialRetry is Dial for a daemon that may still be starting up: it retries
+// the connection for a few seconds before giving up.
+func DialRetry(addr string, cfg Config) (*Client, error) {
+	return dial(addr, cfg, wire.DialRetry)
+}
+
+func dial(addr string, cfg Config, connect func(addr string, hello any) (*wire.Conn, error)) (*Client, error) {
 	fp, err := cfg.Fingerprint()
 	if err != nil {
 		return nil, err
 	}
-	var conn net.Conn
-	for i := 0; i < attempts; i++ {
-		if conn, err = net.Dial("tcp", addr); err == nil {
-			break
-		}
-		time.Sleep(backoff)
-	}
+	w, err := connect(addr, message{Type: wire.TypeHello, Hello: wire.NewHello(StreamSchemaVersion, fp)})
 	if err != nil {
-		return nil, fmt.Errorf("lvmd: dialing %s: %w", addr, err)
+		return nil, fmt.Errorf("lvmd: %w", err)
 	}
-	w := &wire{conn: conn}
-	if err := w.send(message{
-		Type:          msgHello,
-		Proto:         ProtocolVersion,
-		SchemaVersion: StreamSchemaVersion,
-		Fingerprint:   fp,
-	}); err != nil {
-		w.close()
-		return nil, fmt.Errorf("lvmd: hello: %w", err)
-	}
-	m, err := w.recv()
-	if err != nil {
-		w.close()
-		return nil, fmt.Errorf("lvmd: handshake: %w", err)
-	}
-	switch m.Type {
-	case msgWelcome:
-	case msgReject:
-		w.close()
-		return nil, fmt.Errorf("lvmd: rejected by daemon: %s", m.Reason)
-	default:
-		w.close()
-		return nil, fmt.Errorf("lvmd: unexpected handshake reply %q", m.Type)
-	}
-	return &Client{w: w, workers: m.Workers, budget: m.BudgetBytes}, nil
+	return &Client{w: w}, nil
 }
-
-// Workers reports the daemon's advertised worker-slot count.
-func (c *Client) Workers() int { return c.workers }
-
-// BudgetBytes reports the daemon's advertised admission budget.
-func (c *Client) BudgetBytes() uint64 { return c.budget }
 
 // Close releases the connection. Closing mid-session aborts it daemon-side
 // exactly like a client crash.
-func (c *Client) Close() error { return c.w.close() }
+func (c *Client) Close() error { return c.w.Close() }
 
 // Kill asks the daemon to abort the in-flight session. Safe from any
 // goroutine; the session's Wait returns ErrKilled.
 func (c *Client) Kill() error {
-	return c.w.send(message{Type: msgKill})
+	return c.w.Send(message{Type: msgKill})
 }
 
 // Open starts a session. The caller then drives it with Send (stream
 // sessions) and collects it with WaitAdmitted/Wait.
 func (c *Client) Open(open OpenRequest) error {
-	if err := c.w.send(message{Type: msgOpen, Open: &open}); err != nil {
+	if err := c.w.Send(message{Type: msgOpen, Open: &open}); err != nil {
 		return fmt.Errorf("lvmd: open: %w", err)
 	}
 	return nil
@@ -120,7 +79,7 @@ func (c *Client) Send(accesses []workload.Access, done bool) error {
 	for i, a := range accesses {
 		was[i] = WireAccess{VA: uint64(a.VA), W: a.Write}
 	}
-	return c.w.send(message{Type: msgTrace, Accesses: was, Done: done})
+	return c.w.Send(message{Type: msgTrace, Accesses: was, Done: done})
 }
 
 // WaitAdmitted blocks until the daemon admits the session past the memory
@@ -128,8 +87,8 @@ func (c *Client) Send(accesses []workload.Access, done bool) error {
 // that session's error.
 func (c *Client) WaitAdmitted() (SessionStats, error) {
 	for {
-		m, err := c.w.recv()
-		if err != nil {
+		var m message
+		if err := c.w.Recv(&m); err != nil {
 			return c.st, fmt.Errorf("lvmd: connection lost: %w", err)
 		}
 		done, _, err := c.consume(m, nil)
@@ -150,8 +109,8 @@ func (c *Client) WaitAdmitted() (SessionStats, error) {
 // stream order.
 func (c *Client) Wait(onInterval func(IntervalDoc)) (*ResultDoc, SessionStats, error) {
 	for {
-		m, err := c.w.recv()
-		if err != nil {
+		var m message
+		if err := c.w.Recv(&m); err != nil {
 			return nil, c.st, fmt.Errorf("lvmd: connection lost: %w", err)
 		}
 		done, res, err := c.consume(m, onInterval)
@@ -234,7 +193,7 @@ func (c *Client) RunStream(open OpenRequest, accesses []workload.Access, chunk i
 	res, st, err := c.Wait(onInterval)
 	// Unblock a sender stuck on a dead session before waiting it out.
 	if err != nil {
-		c.w.close()
+		c.w.Close()
 	}
 	wg.Wait()
 	return res, st, err

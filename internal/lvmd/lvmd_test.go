@@ -437,3 +437,50 @@ func TestCloseLeaksNoGoroutines(t *testing.T) {
 		return runtime.NumGoroutine() <= before+2
 	})
 }
+
+// TestCloseWithIdleConnections: Close must not wait on clients that never
+// reached a session — a raw connection that has sent nothing and a
+// handshaken client that never opens. Both are closed daemon-side.
+func TestCloseWithIdleConnections(t *testing.T) {
+	cfg := testConfig()
+	srv, err := lvmd.NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+
+	// Accepted in dial order, so the raw connection is accepted before the
+	// client's handshake completes.
+	raw, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	idle, err := lvmd.Dial(ln.Addr().String(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close hung on connections that never opened a session")
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	if _, _, err := idle.Wait(nil); err == nil {
+		t.Error("idle client's connection survived Close")
+	}
+}

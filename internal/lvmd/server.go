@@ -5,16 +5,16 @@ import (
 	"fmt"
 	"net"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"lvm/internal/addr"
 	"lvm/internal/experiments/sched"
+	"lvm/internal/wire"
 	"lvm/internal/workload"
 )
 
-// Server is the daemon: an accept loop handing each connection one
+// Server is the daemon: a wire.Server handing each connection one
 // session, a build-once workload cache shared across tenants, and a
 // two-stage admission pipeline — the sched.Admission byte semaphore
 // (footprint cost model with EMA correction) decides how many tenants may
@@ -26,14 +26,15 @@ type Server struct {
 	adm   *sched.Admission
 	slots chan struct{} // worker-slot semaphore (capacity cfg.Workers)
 	quit  chan struct{} // closed by Close; cancels queued admissions
+	ws    wire.Server
 
 	mu       sync.Mutex
-	ln       net.Listener             // guarded by mu
 	wls      map[string]*workloadOnce // guarded by mu
 	sessions map[uint64]*session      // guarded by mu
 	nextID   uint64                   // guarded by mu
-	closing  bool                     // guarded by mu
 
+	quitOnce sync.Once
+	// wg tracks each session's read loop and cancellation watcher.
 	wg sync.WaitGroup
 }
 
@@ -58,7 +59,7 @@ type ServerStats struct {
 // owns the simulation; the read-loop goroutine only feeds trace chunks and
 // turns client drops or kill frames into cancellation.
 type session struct {
-	w *wire
+	w *wire.Conn
 
 	// traceCh delivers streamed trace chunks to the simulating goroutine.
 	traceCh chan traceChunk
@@ -105,66 +106,16 @@ func NewServer(cfg Config) (*Server, error) {
 // Serve accepts sessions on ln until Close. It blocks; the returned error
 // is nil after a clean Close and the accept failure otherwise.
 func (srv *Server) Serve(ln net.Listener) error {
-	srv.mu.Lock()
-	if srv.closing {
-		srv.mu.Unlock()
-		ln.Close()
-		return errors.New("lvmd: serve on a closed server")
-	}
-	srv.ln = ln
-	srv.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			srv.mu.Lock()
-			closing := srv.closing
-			srv.mu.Unlock()
-			if closing {
-				return nil
-			}
-			return fmt.Errorf("lvmd: accept: %w", err)
-		}
-		srv.wg.Add(1)
-		go func() {
-			defer srv.wg.Done()
-			srv.handle(conn)
-		}()
-	}
+	return srv.ws.Serve(ln, srv.handle)
 }
 
 // Close shuts the daemon down: the listener stops accepting, queued
-// admissions abort, every open session is cancelled and its connection
-// closed, and Close returns only when every handler goroutine has drained
-// — callers observe zero leaked goroutines after it returns.
+// admissions abort, every connection (in a session or not) is closed, and
+// Close returns only when every handler goroutine has drained — callers
+// observe zero leaked goroutines after it returns.
 func (srv *Server) Close() {
-	srv.mu.Lock()
-	if srv.closing {
-		srv.mu.Unlock()
-		srv.wg.Wait()
-		return
-	}
-	srv.closing = true
-	if srv.ln != nil {
-		srv.ln.Close()
-	}
-	// Snapshot in sorted ID order: teardown must not depend on map
-	// iteration order any more than the simulation paths do.
-	ids := make([]uint64, 0, len(srv.sessions))
-	for id := range srv.sessions {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	live := make([]*session, 0, len(ids))
-	for _, id := range ids {
-		live = append(live, srv.sessions[id])
-	}
-	srv.mu.Unlock()
-
-	close(srv.quit)
-	for _, s := range live {
-		s.abort(false)
-		s.w.close()
-	}
+	srv.quitOnce.Do(func() { close(srv.quit) })
+	srv.ws.Close()
 	srv.wg.Wait()
 }
 
@@ -206,7 +157,7 @@ func (srv *Server) workload(name string) (*workload.Workload, error) {
 }
 
 // register allocates a session identity; unregister retires it.
-func (srv *Server) register(w *wire) (uint64, *session) {
+func (srv *Server) register(w *wire.Conn) (uint64, *session) {
 	srv.mu.Lock()
 	srv.nextID++
 	id := srv.nextID
@@ -226,59 +177,34 @@ func (srv *Server) unregister(id uint64) {
 	srv.mu.Unlock()
 }
 
-// vetHello mirrors the sweep orchestrator's handshake validation:
-// protocol, stream schema, and config fingerprint must all match, or the
-// client is speaking about a different machine.
-func (srv *Server) vetHello(m message) string {
-	if m.Type != msgHello {
-		return fmt.Sprintf("expected hello, got %q", m.Type)
-	}
-	if m.Proto != ProtocolVersion {
-		return fmt.Sprintf("protocol v%d, want v%d", m.Proto, ProtocolVersion)
-	}
-	if m.SchemaVersion != StreamSchemaVersion {
-		return fmt.Sprintf("stream schema v%d, want v%d", m.SchemaVersion, StreamSchemaVersion)
-	}
-	if m.Fingerprint != srv.fp {
-		return fmt.Sprintf("config fingerprint %.12s does not match daemon (%.12s) — client configured for a different machine", m.Fingerprint, srv.fp)
-	}
-	return ""
-}
-
 // handle runs one connection's lifecycle end to end: handshake, open,
-// admission, simulation, teardown. It owns the connection; the read loop
-// it spawns only feeds it.
-func (srv *Server) handle(conn net.Conn) {
-	w := &wire{conn: conn}
-	defer w.close()
-	hello, err := w.recv()
-	if err != nil {
+// admission, simulation, teardown. The wire.Server closes the connection
+// when it returns, which ends the read loop it spawns.
+func (srv *Server) handle(w *wire.Conn) {
+	var hello message
+	if err := w.ReadHello(wire.NewHello(StreamSchemaVersion, srv.fp), &hello); err != nil {
 		return
 	}
-	if reason := srv.vetHello(hello); reason != "" {
-		w.send(message{Type: msgReject, Reason: reason})
+	if err := w.Send(message{Type: wire.TypeWelcome, Workers: srv.cfg.Workers, BudgetBytes: srv.cfg.MemBudgetBytes}); err != nil {
 		return
 	}
-	if err := w.send(message{Type: msgWelcome, Workers: srv.cfg.Workers, BudgetBytes: srv.cfg.MemBudgetBytes}); err != nil {
-		return
-	}
-	m, err := w.recv()
-	if err != nil {
+	var m message
+	if err := w.Recv(&m); err != nil {
 		return
 	}
 	if m.Type != msgOpen || m.Open == nil {
-		w.send(message{Type: msgError, Reason: fmt.Sprintf("expected open, got %q", m.Type)})
+		w.Send(message{Type: msgError, Reason: fmt.Sprintf("expected open, got %q", m.Type)})
 		return
 	}
 	open := *m.Open
 	if open.Stream && open.Warmup > 0 {
-		w.send(message{Type: msgError, Reason: "warmup is not supported for stream sessions"})
+		w.Send(message{Type: msgError, Reason: "warmup is not supported for stream sessions"})
 		return
 	}
 
 	wl, err := srv.workload(open.Workload)
 	if err != nil {
-		w.send(message{Type: msgError, Reason: err.Error()})
+		w.Send(message{Type: msgError, Reason: err.Error()})
 		return
 	}
 
@@ -323,7 +249,7 @@ func (srv *Server) handle(conn net.Conn) {
 	}
 	defer func() { <-srv.slots }()
 
-	if err := w.send(message{Type: msgAdmitted, ChargeBytes: charge, QueueDepth: srv.adm.Stats().QueueDepth}); err != nil {
+	if err := w.Send(message{Type: msgAdmitted, ChargeBytes: charge, QueueDepth: srv.adm.Stats().QueueDepth}); err != nil {
 		return
 	}
 
@@ -336,17 +262,18 @@ func (srv *Server) handle(conn net.Conn) {
 		HeapInuseBytes: after.HeapInuse,
 	})
 	if runErr != nil {
-		w.send(message{Type: msgError, Reason: runErr.Error()})
+		w.Send(message{Type: msgError, Reason: runErr.Error()})
 	}
 }
 
 // readLoop drains the client's frames: trace chunks feed the simulating
 // goroutine, a kill frame or connection loss cancels the session. It exits
-// when the connection dies — handle's deferred close guarantees that.
+// when the connection dies, which the wire.Server guarantees once handle
+// returns.
 func (srv *Server) readLoop(s *session) {
 	for {
-		m, err := s.w.recv()
-		if err != nil {
+		var m message
+		if err := s.w.Recv(&m); err != nil {
 			s.abort(false)
 			return
 		}
@@ -375,7 +302,7 @@ func (srv *Server) readLoop(s *session) {
 // clients get nothing (the connection is gone).
 func (srv *Server) sendAborted(s *session) {
 	if s.killed.Load() {
-		s.w.send(message{Type: msgError, Reason: "session killed"})
+		s.w.Send(message{Type: msgError, Reason: "session killed"})
 	}
 }
 

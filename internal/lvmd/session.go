@@ -60,7 +60,7 @@ func (srv *Server) runSession(s *session, wl *workload.Workload, open OpenReques
 		if err != nil {
 			return fmt.Errorf("encoding interval: %w", err)
 		}
-		err = s.w.send(message{Type: msgInterval, Interval: &IntervalDoc{
+		err = s.w.Send(message{Type: msgInterval, Interval: &IntervalDoc{
 			Start: winStart, End: sess.Pos(), Metrics: mb,
 		}})
 		prev = cur
@@ -125,7 +125,7 @@ func (srv *Server) runSession(s *session, wl *workload.Workload, open OpenReques
 	if err != nil {
 		return fmt.Errorf("encoding result: %w", err)
 	}
-	return s.w.send(message{Type: msgResult, Result: &ResultDoc{
+	return s.w.Send(message{Type: msgResult, Result: &ResultDoc{
 		Workload:     res.Workload,
 		Scheme:       res.Scheme,
 		Accesses:     res.Accesses,

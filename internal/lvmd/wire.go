@@ -15,43 +15,26 @@
 package lvmd
 
 import (
-	"encoding/binary"
 	"encoding/json"
-	"fmt"
-	"io"
-	"net"
-	"sync"
 
 	"lvm/internal/oskernel"
+	"lvm/internal/wire"
 )
-
-// ProtocolVersion gates the handshake; the daemon rejects clients speaking
-// a different frame layout.
-const ProtocolVersion = 1
 
 // StreamSchemaVersion versions the interval/result stream documents. It is
 // vetted in the handshake alongside the config fingerprint so a client
 // never misreads windows produced under a different schema.
 const StreamSchemaVersion = 1
 
-// maxMsgBytes bounds one frame. Interval and result documents are a few KB
-// of JSON and trace chunks are client-bounded; anything near this limit is
-// a corrupt or hostile peer.
-const maxMsgBytes = 64 << 20
-
-type msgType string
-
+// The session vocabulary, after the wire handshake.
 const (
-	msgHello    msgType = "hello"    // client → daemon: handshake
-	msgWelcome  msgType = "welcome"  // daemon → client: handshake accepted
-	msgReject   msgType = "reject"   // daemon → client: handshake refused
-	msgOpen     msgType = "open"     // client → daemon: start a session
-	msgAdmitted msgType = "admitted" // daemon → client: session past admission
-	msgTrace    msgType = "trace"    // client → daemon: streamed access chunk
-	msgInterval msgType = "interval" // daemon → client: one metric window
-	msgResult   msgType = "result"   // daemon → client: final result, session over
-	msgError    msgType = "error"    // daemon → client: session failed
-	msgKill     msgType = "kill"     // client → daemon: abort the session
+	msgOpen     wire.Type = "open"     // client → daemon: start a session
+	msgAdmitted wire.Type = "admitted" // daemon → client: session past admission
+	msgTrace    wire.Type = "trace"    // client → daemon: streamed access chunk
+	msgInterval wire.Type = "interval" // daemon → client: one metric window
+	msgResult   wire.Type = "result"   // daemon → client: final result, session over
+	msgError    wire.Type = "error"    // daemon → client: session failed
+	msgKill     wire.Type = "kill"     // client → daemon: abort the session
 )
 
 // OpenRequest configures one session. With Stream false the daemon replays
@@ -107,11 +90,9 @@ type ResultDoc struct {
 // message is the single frame shape of the protocol; which fields are
 // meaningful depends on Type.
 type message struct {
-	Type msgType `json:"type"`
-	// hello fields, vetted exactly like the sweep orchestrator's handshake.
-	Proto         int    `json:"proto,omitempty"`
-	SchemaVersion int    `json:"schema_version,omitempty"`
-	Fingerprint   string `json:"fingerprint,omitempty"`
+	Type wire.Type `json:"type"`
+	// hello fields: the identity the daemon vets.
+	wire.Hello
 	// welcome fields: the daemon's capacity advertisement.
 	Workers     int    `json:"workers,omitempty"`
 	BudgetBytes uint64 `json:"budget_bytes,omitempty"`
@@ -130,47 +111,3 @@ type message struct {
 	Interval *IntervalDoc `json:"interval,omitempty"`
 	Result   *ResultDoc   `json:"result,omitempty"`
 }
-
-// wire frames length-prefixed (4-byte big-endian) JSON messages over one
-// connection. Each side runs a single reader loop; sends may come from any
-// goroutine.
-type wire struct {
-	conn net.Conn
-	mu   sync.Mutex // guards writes to conn
-}
-
-func (w *wire) send(m message) error {
-	b, err := json.Marshal(m)
-	if err != nil {
-		return fmt.Errorf("lvmd: encoding %s: %w", m.Type, err)
-	}
-	frame := make([]byte, 4+len(b))
-	binary.BigEndian.PutUint32(frame, uint32(len(b)))
-	copy(frame[4:], b)
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	_, err = w.conn.Write(frame)
-	return err
-}
-
-func (w *wire) recv() (message, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(w.conn, hdr[:]); err != nil {
-		return message{}, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxMsgBytes {
-		return message{}, fmt.Errorf("lvmd: frame of %d bytes exceeds limit %d", n, maxMsgBytes)
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(w.conn, b); err != nil {
-		return message{}, err
-	}
-	var m message
-	if err := json.Unmarshal(b, &m); err != nil {
-		return message{}, fmt.Errorf("lvmd: decoding frame: %w", err)
-	}
-	return m, nil
-}
-
-func (w *wire) close() error { return w.conn.Close() }
